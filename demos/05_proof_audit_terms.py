@@ -30,7 +30,7 @@ print("median audit terms at t = 1 (20 weight draws per n, c_n = a_n/2)")
 print("=" * 76)
 header = f"{'n':>7} {'a_n':>8}" + "".join(f"{name:>11}" for name in names)
 print(header)
-for point in res.points:
+for point in res.runs:
     med = point.medians()[1.0]
     row = f"{point.n:>7} {point.a_n:>8.1f}" + "".join(f"{med[name]:>11.5f}" for name in names)
     print(row)
@@ -42,6 +42,6 @@ print("strictly decreasing medians:", all(trends.values()))
 print()
 print("pair-moment estimates (1e6 common draws per n):")
 print(f"{'n':>7} {'small-product term':>20} {'large-product term':>20}")
-for point in res.points:
+for point in res.runs:
     print(f"{point.n:>7} {point.pair_moment_small:>20.4f} {point.pair_moment_large:>20.4f}")
 print("trend verdicts:", res.pair_moment_trends())

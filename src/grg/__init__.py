@@ -51,7 +51,6 @@ from .graph import (
     GraphSample,
     NAIVE_MAX_N,
     conditional_edge_mean,
-    degree_sequence,
     edge_probability,
     exact_edge_count_pmf,
     sample_graph_fast,
@@ -78,10 +77,9 @@ from .limits import (
     AuditResult,
     AuditTerms,
     ExperimentConfig,
-    GaussianLimitResult,
+    LimitResult,
     LlnResult,
     NormalizedSample,
-    StableLimitResult,
     mc_pair_moments,
     normal_limit_statistic,
     proof_audit,
@@ -92,4 +90,4 @@ from .limits import (
     run_stable_limit,
     stable_limit_statistic,
 )
-from .report import RunManifest, config_from_dict, config_to_dict, emit_report
+from .report import RunManifest, config_from_dict, config_to_dict, emit_report, read_run

@@ -6,7 +6,7 @@ Subcommands:
 * ``grg experiment`` a configured T1 / T2 / LLN run with full report
 * ``grg audit``      audit-term trajectories over the configured n grid
 * ``grg lemma1``     truncated-moment ratio table for a heavy-tailed model
-* ``grg report``     re-render summary and figures from a finished run
+* ``grg report``     re-render a finished run from its result.csv / audit.csv
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical or I/O
 failure.  The environment variable GRG_SEED overrides the config master
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import sample_graph_fast, sample_graph_naive, write_edge_list
 from .limits import ExperimentConfig, run_experiment
-from .report import config_from_dict, config_to_dict, emit_report
+from .report import config_from_dict, emit_report, read_json, read_run
 from .weights import (
     lemma1_ratio_check,
     model_from_config,
@@ -86,13 +86,7 @@ def parse_model_spec(spec: str):
 
 
 def _load_config(path: str, args) -> ExperimentConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    config = config_from_dict(raw)
+    config = config_from_dict(read_json(path, "config"))
     seed = _resolve_seed(args, config.master_seed)
     overrides = {}
     if seed != config.master_seed:
@@ -147,23 +141,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_run(args) -> int:
+    """``grg experiment`` and ``grg audit``: simulate, derive, write the report."""
     config = _load_config(args.config, args)
-    if config.theorem == "AUDIT":
+    if args.command == "experiment" and config.theorem == "AUDIT":
         raise ConfigError("use 'grg audit' for audit configs")
-    result = run_experiment(config, threads=args.threads)
-    emit_report(result, args.out)
-    sys.stdout.write(f"report written to {args.out}\n")
-    return 0
-
-
-def _cmd_audit(args) -> int:
-    config = _load_config(args.config, args)
-    if config.theorem != "AUDIT":
+    if args.command == "audit" and config.theorem != "AUDIT":
         raise ConfigError("audit config must set theorem='AUDIT'")
-    result = run_experiment(config, threads=args.threads)
-    emit_report(result, args.out)
-    sys.stdout.write(f"audit written to {args.out}\n")
+    emit_report(run_experiment(config, threads=args.threads), args.out)
+    sys.stdout.write(f"{'audit' if args.command == 'audit' else 'report'} written to {args.out}\n")
     return 0
 
 
@@ -202,15 +188,9 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    run_dir = Path(args.run)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no manifest.json under {run_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    config = config_from_dict(manifest["config"])
-    result = run_experiment(config, threads=args.threads)
+    """Re-render a finished run from its own table; no graph is sampled."""
     out = args.out or args.run
-    emit_report(result, out)
+    emit_report(read_run(args.run, threads=args.threads), out)
     sys.stdout.write(f"report regenerated in {out}\n")
     return 0
 
@@ -230,9 +210,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--edges", default=None, help="optional edge-list dump path")
     p.set_defaults(handler=_cmd_sample)
 
-    for name, handler, help_text in (
-        ("experiment", _cmd_experiment, "run a configured limit-law experiment"),
-        ("audit", _cmd_audit, "run a configured proof audit"),
+    for name, help_text in (
+        ("experiment", "run a configured limit-law experiment"),
+        ("audit", "run a configured proof audit"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
@@ -240,7 +220,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--sampler", choices=("naive", "fast"), default=None)
         p.add_argument("--threads", type=int, default=0, help="worker processes (0 = auto)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("lemma1", help="truncated-moment ratio table")
     p.add_argument("--model", required=True, help="heavy-tailed model spec")
@@ -251,7 +231,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="re-render an existing run directory")
     p.add_argument("--run", required=True, help="directory containing manifest.json")
     p.add_argument("--out", default=None, help="target directory (defaults to --run)")
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker processes for the T2 weight re-draw (0 = auto)")
     p.set_defaults(handler=_cmd_report)
     return parser
 

@@ -36,7 +36,6 @@ __all__ = [
     "sample_graph_fast",
     "exact_edge_count_pmf",
     "conditional_edge_mean",
-    "degree_sequence",
     "write_edge_list",
 ]
 
@@ -269,11 +268,6 @@ def conditional_edge_mean(weights: WeightVector) -> float:
         large += float((y / (1.0 + y)).sum())
     diag = u * u
     return 0.5 * (series + large - float((diag / (1.0 + diag)).sum()))
-
-
-def degree_sequence(sample: GraphSample) -> np.ndarray:
-    """Degrees in original vertex order; sums to twice the edge count."""
-    return sample.degrees
 
 
 def write_edge_list(sample: GraphSample, path) -> None:

@@ -7,7 +7,8 @@ exactly.  Timestamps and wall-clock numbers live only in manifest.json.
 CSV schema (fixed): ``n,replication,statistic,edge_count,L_n``.  For
 the stable-limit experiment the ``statistic`` column holds the edge
 statistic; the weight-sum statistic is recoverable from the L_n column.
-Floats are written with repr, which round-trips.
+Floats are written with repr, which round-trips, so :func:`read_run`
+rebuilds a finished run's table exactly and derives its result again.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,41 +24,35 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .limits import (
-    AuditResult,
+    AUDIT_TERM_NAMES,
+    AuditTerms,
     ExperimentConfig,
-    GaussianLimitResult,
-    LlnResult,
-    StableLimitResult,
+    LimitResult,
+    audit_pair_moments,
+    derive_result,
+    replicate_edges,
 )
-from .weights import model_to_config
+from .weights import compute_norming, model_from_config, model_to_config
 
-__all__ = ["RunManifest", "emit_report", "config_to_dict", "config_from_dict"]
+__all__ = ["RunManifest", "emit_report", "read_run", "read_json", "config_to_dict",
+           "config_from_dict"]
 
 SCHEMA_VERSION = 1
 RESULT_CSV_HEADER = "n,replication,statistic,edge_count,L_n"
-AUDIT_CSV_HEADER = (
-    "n,replication,t,c_n,a_n,selfloop_bound,i1_bound,i3_bound,t_a,t_b,t_c,t_d"
-)
+_AUDIT_FIELDS = ("t", "c_n", "a_n", *AUDIT_TERM_NAMES)
+AUDIT_CSV_HEADER = "n,replication," + ",".join(_AUDIT_FIELDS)
 
 
 @dataclass(eq=False)
 class RunManifest:
+    """The contents of manifest.json, which :func:`emit_report` writes."""
+
     config: dict
     artifact_version: str
     master_seed: int
     wall_clock_seconds: dict
     outputs: list[str]
     created_unix: float
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "artifact_version": self.artifact_version,
-            "master_seed": self.master_seed,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "outputs": self.outputs,
-            "created_unix": self.created_unix,
-        }
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -73,12 +68,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    from .weights import model_from_config
-
     try:
-        model = model_from_config(raw["model"])
         return ExperimentConfig(
-            model=model,
+            model=model_from_config(raw["model"]),
             n_grid=tuple(int(n) for n in raw["n_grid"]),
             replications=int(raw["replications"]),
             master_seed=int(raw["master_seed"]),
@@ -88,20 +80,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from None
+
+
+def read_json(path, what: str):
+    """Parse a JSON file; ConfigError if it cannot be read or is not JSON."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _json_dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
-def _write_result_csv(path: Path, rows) -> None:
-    lines = [RESULT_CSV_HEADER]
-    for n, rep, stat, edge_count, l_n in rows:
-        lines.append(f"{n},{rep},{stat!r},{edge_count},{l_n!r}")
+def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -170,8 +169,7 @@ def _write_histogram_svg(path: Path, values: np.ndarray, title: str, overlay=Non
             f'<text x="{x_px(v):.2f}" y="{_SVG_H - _MARGIN + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{v:.3g}</text>'
         )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="ascii")
+    _write_lines(path, parts + ["</svg>"])
 
 
 def _write_qq_svg(path: Path, a: np.ndarray, b: np.ndarray, title: str,
@@ -198,17 +196,77 @@ def _write_qq_svg(path: Path, a: np.ndarray, b: np.ndarray, title: str,
         f'<text x="14" y="{_SVG_H / 2}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="12" transform="rotate(-90 14 {_SVG_H / 2})">{ylabel}</text>'
     )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="ascii")
+    _write_lines(path, parts + ["</svg>"])
 
 
 # ------------------------------------------------------------- reports
 
 
-def _normal_pdf_overlay(values: np.ndarray):
-    lo, hi = float(values.min()), float(values.max())
-    xs = np.linspace(lo, hi, 200)
-    return xs, np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
+def _ks_summary(run) -> dict:
+    ks = run.ks
+    return {"n": run.n, "ks_d": ks.d_stat, "ks_p": ks.p_value, "n_effective": ks.n_effective}
+
+
+def _t1_summary(run) -> dict:
+    values = run.sample.values
+    return {**_ks_summary(run), "mean": float(values.mean()), "std": float(values.std())}
+
+
+def _t2_summary(run) -> dict:
+    return {
+        **_ks_summary(run),
+        "a_n": run.a_n,
+        "edge_stat_median": float(np.median(run.edge_sample.values)),
+        "weight_stat_median": float(np.median(run.weight_sample.values)),
+        "deficit_median": float(np.median(run.deficits)),
+        "deficit_mean": float(run.deficits.mean()),
+        "ks_d_compensated": run.ks_compensated.d_stat,
+        "ks_p_compensated": run.ks_compensated.p_value,
+    }
+
+
+def _lln_summary(run) -> dict:
+    return {"n": run.n, "mean_ratio": run.mean_ratio, "std_ratio": run.std_ratio,
+            "target": run.target, "abs_error": abs(run.mean_ratio - run.target)}
+
+
+def _audit_summary(point) -> dict:
+    return {
+        "n": point.n,
+        "c_n": point.c_n,
+        "a_n": point.a_n,
+        "medians": {str(t): med for t, med in point.medians().items()},
+        "pair_moment_small": point.pair_moment_small,
+        "pair_moment_large": point.pair_moment_large,
+    }
+
+
+def _t1_figure(path: Path, run) -> None:
+    """Histogram of the normalized edge count under the standard normal density."""
+    values = run.sample.values
+    xs = np.linspace(float(values.min()), float(values.max()), 200)
+    pdf = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
+    _write_histogram_svg(path, values, f"normalized edge count, n={run.n} (normal overlay)",
+                         overlay=(xs, pdf))
+
+
+def _t2_figure(path: Path, run) -> None:
+    _write_qq_svg(path, run.weight_sample.values, run.edge_sample.values,
+                  f"weight-sum vs edge statistic quantiles, n={run.n}",
+                  "weight-sum statistic", "edge statistic")
+
+
+def _lln_figure(path: Path, run) -> None:
+    _write_histogram_svg(path, run.statistic, f"edges per vertex, n={run.n} (dashed line: EW/2)",
+                         vline=run.target)
+
+
+_KINDS = {
+    "T1": (_t1_summary, _t1_figure),
+    "T2": (_t2_summary, _t2_figure),
+    "LLN": (_lln_summary, _lln_figure),
+    "AUDIT": (_audit_summary, None),
+}
 
 
 def emit_report(result, out_dir) -> RunManifest:
@@ -218,205 +276,153 @@ def emit_report(result, out_dir) -> RunManifest:
     ConfigError before touching the filesystem if the result is empty.
     """
     t0 = time.perf_counter()
+    if not result.runs:
+        raise ConfigError("empty result: nothing to report")
+    config = result.config
+    summary_row, figure = _KINDS[config.theorem]
     out = Path(out_dir)
-    if isinstance(result, GaussianLimitResult):
-        payload = _emit_gaussian
-    elif isinstance(result, StableLimitResult):
-        payload = _emit_stable
-    elif isinstance(result, LlnResult):
-        payload = _emit_lln
-    elif isinstance(result, AuditResult):
-        payload = _emit_audit
-    else:
-        raise ConfigError(f"cannot report on {type(result).__name__}")
-    _check_nonempty(result)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = payload(result, out)
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": config.theorem,
+        "config": config_to_dict(config),
+        "results": [summary_row(run) for run in result.runs],
+    }
+    if config.theorem == "AUDIT":
+        outputs = ["audit.csv"]
+        n_t = len(config.t_values)
+        lines = [AUDIT_CSV_HEADER]
+        for point in result.runs:
+            for k, term in enumerate(point.terms):
+                values = ",".join(repr(getattr(term, name)) for name in _AUDIT_FIELDS)
+                lines.append(f"{term.n},{k // n_t},{values}")
+        summary["median_trends_decreasing"] = {
+            str(t): trend for t, trend in result.median_trends().items()
+        }
+        summary["pair_moment_trends_decreasing"] = result.pair_moment_trends()
+        summary["remainder_coeff_bound"] = 0.5
+    else:
+        outputs = ["result.csv"]
+        lines = [RESULT_CSV_HEADER]
+        for run in result.runs:
+            columns = zip(run.statistic, run.edge_counts, run.weight_sums)
+            for rep, (stat, ec, l_n) in enumerate(columns):
+                lines.append(f"{run.n},{rep},{float(stat)!r},{int(ec)},{float(l_n)!r}")
+            outputs.append(f"hist_{run.n}.svg")
+            figure(out / outputs[-1], run)
+    if isinstance(result, LimitResult):
+        summary["trend"] = {"metric": "ks_d", "values": result.ks_d_trend,
+                            "nonincreasing": result.trend_nonincreasing}
+    _write_lines(out / outputs[0], lines)
+    _json_dump(out / "summary.json", summary)
     manifest = RunManifest(
-        config=config_to_dict(result.config),
+        config=config_to_dict(config),
         artifact_version=__version__,
-        master_seed=result.config.master_seed,
+        master_seed=config.master_seed,
         wall_clock_seconds={
             "experiment": round(result.elapsed_seconds, 6),
             "report": round(time.perf_counter() - t0, 6),
         },
-        outputs=sorted(outputs + ["manifest.json"]),
+        outputs=sorted(outputs + ["summary.json", "manifest.json"]),
         created_unix=time.time(),
     )
-    _json_dump(out / "manifest.json", manifest.to_dict())
+    _json_dump(out / "manifest.json", asdict(manifest))
     return manifest
 
 
-def _check_nonempty(result) -> None:
-    runs = getattr(result, "runs", None) or getattr(result, "rows", None) or getattr(
-        result, "points", None
-    )
-    if not runs:
-        raise ConfigError("empty result: nothing to report")
+# ------------------------------------------------------------ read back
 
 
-def _emit_gaussian(result: GaussianLimitResult, out: Path) -> list[str]:
-    rows = []
-    for run in result.runs:
-        for rep, (stat, ec, l_n) in enumerate(
-            zip(run.sample.values, run.edge_counts, run.weight_sums)
-        ):
-            rows.append((run.n, rep, float(stat), int(ec), float(l_n)))
-    _write_result_csv(out / "result.csv", rows)
-    outputs = ["result.csv", "summary.json"]
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "T1",
-        "config": config_to_dict(result.config),
-        "results": [
-            {
-                "n": run.n,
-                "ks_d": run.ks.d_stat,
-                "ks_p": run.ks.p_value,
-                "n_effective": run.ks.n_effective,
-                "mean": float(run.sample.values.mean()),
-                "std": float(run.sample.values.std()),
-            }
-            for run in result.runs
-        ],
-        "trend": {
-            "metric": "ks_d",
-            "values": result.ks_d_trend,
-            "nonincreasing": result.trend_nonincreasing,
-        },
-    }
-    _json_dump(out / "summary.json", summary)
-    for run in result.runs:
-        name = f"hist_{run.n}.svg"
-        _write_histogram_svg(
-            out / name,
-            run.sample.values,
-            f"normalized edge count, n={run.n} (normal overlay)",
-            overlay=_normal_pdf_overlay(run.sample.values),
-        )
-        outputs.append(name)
-    return outputs
+def _count(field: str) -> int:
+    value = int(field)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"{field!r} is not a count")
+    return value
 
 
-def _emit_stable(result: StableLimitResult, out: Path) -> list[str]:
-    rows = []
-    for run in result.runs:
-        for rep, (stat, ec, l_n) in enumerate(
-            zip(run.edge_sample.values, run.edge_counts, run.weight_sums)
-        ):
-            rows.append((run.n, rep, float(stat), int(ec), float(l_n)))
-    _write_result_csv(out / "result.csv", rows)
-    outputs = ["result.csv", "summary.json"]
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "T2",
-        "config": config_to_dict(result.config),
-        "results": [
-            {
-                "n": run.n,
-                "a_n": run.a_n,
-                "ks_d": run.ks.d_stat,
-                "ks_p": run.ks.p_value,
-                "n_effective": run.ks.n_effective,
-                "edge_stat_median": float(np.median(run.edge_sample.values)),
-                "weight_stat_median": float(np.median(run.weight_sample.values)),
-                "deficit_median": float(np.median(run.deficits)),
-                "deficit_mean": float(run.deficits.mean()),
-                "ks_d_compensated": run.ks_compensated.d_stat,
-                "ks_p_compensated": run.ks_compensated.p_value,
-            }
-            for run in result.runs
-        ],
-        "trend": {
-            "metric": "ks_d",
-            "values": result.ks_d_trend,
-            "nonincreasing": result.trend_nonincreasing,
-        },
-    }
-    _json_dump(out / "summary.json", summary)
-    for run in result.runs:
-        name = f"hist_{run.n}.svg"
-        _write_qq_svg(
-            out / name,
-            run.weight_sample.values,
-            run.edge_sample.values,
-            f"weight-sum vs edge statistic quantiles, n={run.n}",
-            "weight-sum statistic",
-            "edge statistic",
-        )
-        outputs.append(name)
-    return outputs
+def _finite(field: str) -> float:
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{field!r} is not finite")
+    return value
 
 
-def _emit_lln(result: LlnResult, out: Path) -> list[str]:
-    rows = []
-    for row in result.rows:
-        counts = result.edge_counts[row.n]
-        sums = result.weight_sums[row.n]
-        for rep, (ec, l_n) in enumerate(zip(counts, sums)):
-            rows.append((row.n, rep, float(ec / row.n), int(ec), float(l_n)))
-    _write_result_csv(out / "result.csv", rows)
-    outputs = ["result.csv", "summary.json"]
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "LLN",
-        "config": config_to_dict(result.config),
-        "results": [
-            {
-                "n": row.n,
-                "mean_ratio": row.mean_ratio,
-                "std_ratio": row.std_ratio,
-                "target": row.target,
-                "abs_error": abs(row.mean_ratio - row.target),
-            }
-            for row in result.rows
-        ],
-    }
-    _json_dump(out / "summary.json", summary)
-    for row in result.rows:
-        name = f"hist_{row.n}.svg"
-        _write_histogram_svg(
-            out / name,
-            result.edge_counts[row.n] / row.n,
-            f"edges per vertex, n={row.n} (dashed line: EW/2)",
-            vline=row.target,
-        )
-        outputs.append(name)
-    return outputs
+def _read_csv(path: Path, header: str, types: tuple, n_rows: int) -> list[list]:
+    """The parsed rows of a complete CSV that has ``header`` and ``n_rows`` rows."""
+    try:
+        lines = path.read_bytes().decode("ascii").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path.name}: {exc}") from None
+    if lines[0] != header or lines[-1] != "" or len(lines) != n_rows + 2:
+        raise ConfigError(f"{path.name} is not a complete table of the manifest's {n_rows} rows")
+    try:
+        return [
+            [parse(field) for parse, field in zip(types, line.split(","), strict=True)]
+            for line in lines[1:-1]
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"{path.name} has a malformed row: {exc}") from None
 
 
-def _emit_audit(result: AuditResult, out: Path) -> list[str]:
-    lines = [AUDIT_CSV_HEADER]
-    n_t = len(result.config.t_values)
-    for point in result.points:
-        for k, term in enumerate(point.terms):
-            rep = k // n_t
-            lines.append(
-                f"{term.n},{rep},{term.t!r},{term.c_n!r},{term.a_n!r},"
-                f"{term.selfloop_bound!r},{term.i1_bound!r},{term.i3_bound!r},"
-                f"{term.t_a!r},{term.t_b!r},{term.t_c!r},{term.t_d!r}"
-            )
-    (out / "audit.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "AUDIT",
-        "config": config_to_dict(result.config),
-        "results": [
-            {
-                "n": point.n,
-                "c_n": point.c_n,
-                "a_n": point.a_n,
-                "medians": {str(t): med for t, med in point.medians().items()},
-                "pair_moment_small": point.pair_moment_small,
-                "pair_moment_large": point.pair_moment_large,
-            }
-            for point in result.points
-        ],
-        "median_trends_decreasing": {
-            str(t): trend for t, trend in result.median_trends().items()
-        },
-        "pair_moment_trends_decreasing": result.pair_moment_trends(),
-        "remainder_coeff_bound": 0.5,
-    }
-    _json_dump(out / "summary.json", summary)
-    return ["audit.csv", "summary.json"]
+def _read_result_table(path: Path, config: ExperimentConfig, threads: int):
+    """Per n, the table row for ``derive_result`` and the statistic column."""
+    reps = config.replications
+    types = (_count, _count, _finite, _count, _finite)
+    rows = _read_csv(path, RESULT_CSV_HEADER, types, len(config.n_grid) * reps)
+    table, statistics = [], []
+    for k, n in enumerate(config.n_grid):
+        block = rows[k * reps : (k + 1) * reps]
+        if [row[:2] for row in block] != [[n, rep] for rep in range(reps)]:
+            raise ConfigError(f"result.csv rows at n={n} are not replications 0..{reps - 1}")
+        _, _, statistic, edge_counts, weight_sums = zip(*block)
+        weight_sums = np.array(weight_sums, dtype=float)
+        cond_means = None
+        if config.theorem == "T2":
+            _, redrawn, cond_means = replicate_edges(config, n, threads, None, True)
+            if not np.array_equal(redrawn, weight_sums):
+                raise ConfigError(f"result.csv L_n at n={n} differs from the re-drawn weights")
+        table.append((np.array(edge_counts, dtype=np.int64), weight_sums, cond_means))
+        statistics.append(np.array(statistic, dtype=float))
+    return table, statistics
+
+
+def _read_audit_table(path: Path, config: ExperimentConfig):
+    """Per n, the audit terms of audit.csv and the recomputed pair moments."""
+    per_n = config.replications * len(config.t_values)
+    types = (_count, _count) + (_finite,) * len(_AUDIT_FIELDS)
+    rows = _read_csv(path, AUDIT_CSV_HEADER, types, len(config.n_grid) * per_n)
+    table = []
+    for k, n in enumerate(config.n_grid):
+        a_n = compute_norming(config.model, n)
+        block = rows[k * per_n : (k + 1) * per_n]
+        keys = [[n, rep, t, 0.5 * a_n, a_n]
+                for rep in range(config.replications) for t in config.t_values]
+        if [row[:5] for row in block] != keys:
+            raise ConfigError(f"audit.csv rows at n={n} do not match the manifest's config")
+        terms = [AuditTerms(row[0], *row[2:]) for row in block]
+        table.append((0.5 * a_n, a_n, terms, *audit_pair_moments(config, n, a_n)))
+    return table
+
+
+def read_run(run_dir, threads: int = 1):
+    """Rebuild a finished run's result from its manifest and result.csv / audit.csv.
+
+    Samples no graph and evaluates no audit term: T2 re-draws only the
+    weights, for the conditional edge means, and the audit recomputes its
+    two pair moments.  ConfigError unless the directory is a complete run.
+    """
+    run_dir = Path(run_dir)
+    manifest = read_json(run_dir / "manifest.json", "manifest.json")
+    try:
+        raw, elapsed = manifest["config"], float(manifest["wall_clock_seconds"]["experiment"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ConfigError("manifest.json lacks the config or the experiment time") from None
+    config = config_from_dict(raw)
+    if config.theorem == "AUDIT":
+        return derive_result(config, _read_audit_table(run_dir / "audit.csv", config), elapsed)
+    table, statistics = _read_result_table(run_dir / "result.csv", config, threads)
+    result = derive_result(config, table, elapsed)
+    for run, statistic in zip(result.runs, statistics):
+        if not np.array_equal(run.statistic, statistic):
+            raise ConfigError(f"result.csv statistic at n={run.n} disagrees with edge_count")
+    return result

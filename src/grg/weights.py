@@ -253,7 +253,15 @@ class WeightVector:
             raise ParameterError("weights must form a non-empty 1-d array")
         if not np.all(arr > 0):
             raise ParameterError("all weights must be strictly positive")
-        return cls(arr, math.fsum(arr), math.fsum(arr * arr))
+        # positive weights are all finite exactly when both totals are
+        with np.errstate(over="ignore"):
+            try:
+                sum_l, sum_sq = math.fsum(arr), math.fsum(arr * arr)
+            except OverflowError:
+                sum_l = sum_sq = math.inf
+        if not (math.isfinite(sum_l) and math.isfinite(sum_sq)):
+            raise ParameterError("weights and their totals must be finite")
+        return cls(arr, sum_l, sum_sq)
 
     @property
     def n(self) -> int:
@@ -287,7 +295,8 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
     elif isinstance(model, GammaWeights):
         values = rng.gamma(model.shape, model.scale, n)
     elif isinstance(model, ParetoWeights):
-        values = model.xm * (1.0 - rng.random(n)) ** (-1.0 / model.alpha)
+        with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
+            values = model.xm * (1.0 - rng.random(n)) ** (-1.0 / model.alpha)
     elif isinstance(model, ParetoLogWeights):
         values = _pareto_log_inverse_survival(model, 1.0 - rng.random(n))
     else:

@@ -149,7 +149,7 @@ def test_05_lln():
         ExponentialWeights(1.0), (10_000,), 100, master_seed=90210, theorem="LLN"
     )
     res = run_lln(cfg)
-    mean = res.rows[0].mean_ratio
+    mean = res.runs[0].mean_ratio
     assert verdict("05 law of large numbers", abs(mean - 0.5) <= 0.02,
                    f"mean E_n/n = {mean:.5f} within 0.5 +- 0.02")
 

@@ -1,12 +1,23 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grg.graph
+import grg.limits
 from grg.cli import main, parse_model_spec
 from grg import ExponentialWeights, ParameterError, ParetoWeights
+
+PARETO = {"kind": "pareto", "alpha": 1.5, "xm": 1.0}
 
 
 def write_config(path, **overrides):
@@ -67,6 +78,15 @@ class TestSampleCommand:
         code = main(["sample", "--model", "constant:lambda=60", "--n", "50",
                      "--seed", "1", "--out", str(tmp_path / "g.json")])
         assert code == 1
+
+    def test_overflowing_weights_are_config_error(self, tmp_path, capsys):
+        """Pareto(0.01) draws overflow to inf; no 'L_n': Infinity summary is written."""
+        out = tmp_path / "g.json"
+        code = main(["sample", "--model", "pareto:alpha=0.01,xm=1", "--n", "1000",
+                     "--seed", "3", "--out", str(out)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentCommand:
@@ -217,6 +237,91 @@ class TestLemma1Command:
         assert main(["lemma1", "--model", "exponential:rate=1", "--x", "10"]) == 1
 
 
+@pytest.fixture(scope="module")
+def finished_runs(tmp_path_factory):
+    """One small finished run directory per experiment kind."""
+    root = tmp_path_factory.mktemp("runs")
+    configs = {
+        "T1": {},
+        "T2": {"model": PARETO, "theorem": "T2", "n_grid": [60, 150], "replications": 100},
+        "LLN": {"theorem": "LLN", "n_grid": [400], "replications": 30},
+        "AUDIT": {"model": PARETO, "theorem": "AUDIT", "n_grid": [60, 150],
+                  "replications": 4, "t_values": [0.5, 1.0]},
+    }
+    runs = {}
+    for kind, overrides in configs.items():
+        cfg = write_config(root / f"{kind}.json", **overrides)
+        runs[kind] = root / kind
+        command = "audit" if kind == "AUDIT" else "experiment"
+        assert main([command, "--config", str(cfg), "--out", str(runs[kind]),
+                     "--threads", "1"]) == 0
+    return runs
+
+
+def report_on_copy(run: Path, name: str, data: bytes | None):
+    """``grg report`` on a copy of ``run`` whose file ``name`` holds ``data``.
+
+    ``data=None`` deletes the file.  Returns the exit code, stderr and
+    the bytes of every file the report wrote.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        copy, out = Path(tmp) / "run", Path(tmp) / "out"
+        shutil.copytree(run, copy)
+        if data is None:
+            (copy / name).unlink()
+        else:
+            (copy / name).write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", "--run", str(copy), "--out", str(out), "--threads", "1"])
+        written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, err.getvalue(), written
+
+
+def edit_csv(text: str, row: int, column: int, edit) -> str:
+    lines = text.split("\n")
+    fields = lines[row].split(",")
+    fields[column] = edit(fields[column])
+    lines[row] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def swap_rows(text: str) -> str:
+    lines = text.split("\n")
+    lines[1], lines[2] = lines[2], lines[1]
+    return "\n".join(lines)
+
+
+MALFORMED_RUNS = {
+    "manifest-not-json": ("T1", "manifest.json", lambda text: text[:-5]),
+    "manifest-without-config": ("T1", "manifest.json", lambda text: '{"outputs": []}'),
+    "manifest-not-an-object": ("T1", "manifest.json", lambda text: "[1, 2]"),
+    "csv-missing": ("T1", "result.csv", None),
+    "csv-truncated-mid-row": ("T1", "result.csv", lambda text: text[: len(text) // 2]),
+    "csv-last-row-dropped": (
+        "LLN", "result.csv", lambda text: text[: text.rindex("\n", 0, -1) + 1]
+    ),
+    "csv-bad-header": ("T1", "result.csv", lambda text: "n,rep" + text[text.index("\n"):]),
+    "csv-non-numeric": ("T1", "result.csv", lambda text: edit_csv(text, 1, 3, lambda f: "many")),
+    "csv-not-finite": ("T1", "result.csv", lambda text: edit_csv(text, 1, 4, lambda f: "nan")),
+    "csv-rows-out-of-order": ("T1", "result.csv", swap_rows),
+    "csv-statistic-disagrees": (
+        "LLN", "result.csv", lambda text: edit_csv(text, 1, 3, lambda f: str(int(f) + 1))
+    ),
+    "t2-l_n-not-reproduced": (
+        "T2", "result.csv",
+        lambda text: edit_csv(text, 1, 4, lambda f: repr(math.nextafter(float(f), math.inf))),
+    ),
+    "audit-csv-truncated": ("AUDIT", "audit.csv", lambda text: text[:-3]),
+    "audit-t-values-differ": (
+        "AUDIT", "manifest.json", lambda text: text.replace("0.5", "0.25", 1)
+    ),
+    "audit-norming-differs": (
+        "AUDIT", "audit.csv", lambda text: edit_csv(text, 1, 4, lambda f: repr(float(f) * 2))
+    ),
+}
+
+
 class TestReportCommand:
     def test_regenerate_from_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "t1.json", n_grid=[60], replications=100)
@@ -228,6 +333,76 @@ class TestReportCommand:
 
     def test_missing_manifest(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("kind", ["T1", "T2", "LLN", "AUDIT"])
+    def test_round_trip_without_resimulating(self, finished_runs, kind, tmp_path, monkeypatch):
+        """Every payload file is rebuilt byte for byte from the run's own table."""
+
+        def resimulated(*args, **kwargs):
+            raise AssertionError("grg report re-simulated the run")
+
+        for module in (grg.graph, grg.limits):
+            monkeypatch.setattr(module, "sample_graph_fast", resimulated)
+            monkeypatch.setattr(module, "sample_graph_naive", resimulated)
+        monkeypatch.setattr(grg.limits, "proof_audit", resimulated)
+        run, out = finished_runs[kind], tmp_path / "again"
+        assert main(["report", "--run", str(run), "--out", str(out), "--threads", "1"]) == 0
+        payload = sorted(p.name for p in run.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == payload
+        for name in payload:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (run / name).read_bytes(), name
+        before, after = (json.loads((d / "manifest.json").read_text()) for d in (run, out))
+        seconds = [m["wall_clock_seconds"]["experiment"] for m in (before, after)]
+        assert seconds[0] == seconds[1]
+        assert after["config"] == before["config"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+    def test_malformed_run_is_exit_1(self, finished_runs, case):
+        kind, name, corrupt = MALFORMED_RUNS[case]
+        run = finished_runs[kind]
+        data = None if corrupt is None else corrupt((run / name).read_text()).encode()
+        code, err, written = report_on_copy(run, name, data)
+        assert code == 1, err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert written == {}
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["T1", "T2", "LLN", "AUDIT"]),
+        which=st.sampled_from(["manifest.json", "table"]),
+        data=st.data(),
+    )
+    def test_truncated_file_is_exit_1(self, finished_runs, kind, which, data):
+        run = finished_runs[kind]
+        if which == "table":
+            which = "audit.csv" if kind == "AUDIT" else "result.csv"
+        raw = (run / which).read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 2), label="kept bytes")
+        code, err, written = report_on_copy(run, which, raw[:cut])
+        assert code == 1 and "Traceback" not in err, err
+        assert written == {}
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(which=st.sampled_from(["manifest.json", "result.csv"]), data=st.data())
+    def test_corrupted_byte_never_changes_the_table(self, finished_runs, which, data):
+        """A changed byte is rejected with exit 1 or 2, or leaves result.csv as it was.
+
+        On a T2 run every column of result.csv is checked: n and
+        replication against the config, the statistic against edge_count,
+        and L_n against the re-drawn weights.
+        """
+        run = finished_runs["T2"]
+        raw = (run / which).read_bytes()
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte")
+        code, err, written = report_on_copy(run, which, raw[:pos] + bytes([byte]) + raw[pos + 1:])
+        assert "Traceback" not in err
+        assert code in (0, 1, 2), err
+        if code == 0:
+            assert written["result.csv"] == (run / "result.csv").read_bytes()
+        else:
+            assert written == {}
 
 
 class TestUsage:

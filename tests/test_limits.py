@@ -167,7 +167,7 @@ class TestLlnRun:
     def test_exponential_half(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (10_000,), 100, 90210, "LLN")
         res = run_lln(cfg)
-        row = res.rows[0]
+        row = res.runs[0]
         assert row.target == 0.5
         assert abs(row.mean_ratio - 0.5) < 0.02
 
@@ -177,13 +177,13 @@ class TestLlnRun:
         cfg = ExperimentConfig(ConstantWeights(lam), (n,), 60, 31337, "LLN")
         res = run_lln(cfg)
         exact = (n - 1) * lam / (2 * n)
-        assert abs(res.rows[0].mean_ratio - exact) < 0.05
+        assert abs(res.runs[0].mean_ratio - exact) < 0.05
 
     def test_pareto_heavy_tail_mean(self):
         """Pareto(1.5): E_n/n sits near EW/2 = 1.5 at n = 1e5."""
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (10**5,), 50, 271828, "LLN")
         res = run_lln(cfg)
-        assert abs(res.rows[0].mean_ratio - 1.5) < 0.1, res.rows[0]
+        assert abs(res.runs[0].mean_ratio - 1.5) < 0.1, res.runs[0]
 
 
 class TestProofAudit:
@@ -242,7 +242,7 @@ class TestProofAudit:
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (100,), 6, 555, "AUDIT")
         a = run_proof_audit(cfg, threads=1)
         b = run_proof_audit(cfg, threads=2)
-        assert [t.t_c for t in a.points[0].terms] == [t.t_c for t in b.points[0].terms]
+        assert [t.t_c for t in a.runs[0].terms] == [t.t_c for t in b.runs[0].terms]
 
     def test_audit_requires_heavy_tail(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (100,), 5, 1, "AUDIT")
@@ -297,7 +297,7 @@ class TestDispatch:
     def test_run_experiment_routes(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (200,), 100, 11, "LLN")
         res = run_experiment(cfg)
-        assert res.rows[0].n == 200
+        assert res.runs[0].n == 200
 
     def test_runner_rejects_mismatched_kind(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (200,), 100, 11, "LLN")
@@ -309,7 +309,7 @@ class TestDispatch:
         from grg.limits import LlnResult
 
         cfg = ExperimentConfig(ExponentialWeights(1.0), (200,), 100, 11, "LLN")
-        empty = LlnResult(cfg, [], {}, {})
+        empty = LlnResult(cfg, [])
         out = tmp_path / "report"
         with pytest.raises(ConfigError):
             emit_report(empty, out)

@@ -69,6 +69,24 @@ class TestSampling:
         with pytest.raises(ParameterError):
             WeightVector.from_values([1.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0, math.inf],
+            [1.0, math.nan],
+            [1e200, 1.0],  # finite weights whose squares overflow
+            [1e308, 1e308],  # finite weights whose sum overflows
+        ],
+    )
+    def test_rejects_nonfinite_values_and_totals(self, values):
+        with pytest.raises(ParameterError):
+            WeightVector.from_values(values)
+
+    def test_overflowing_pareto_draw_is_rejected(self):
+        """alpha=0.01 overflows some draws to inf instead of giving L = inf."""
+        with pytest.raises(ParameterError):
+            sample_weights(ParetoWeights(0.01, 1.0), 1000, seed=3)
+
 
 class TestAnalyticMoments:
     def test_pareto_heavy(self):
