@@ -1,8 +1,9 @@
-"""Skip sampling vs the pairwise reference: cost at growing n.
+"""Bucket thinning vs the pairwise reference: cost at growing n.
 
 The pairwise sampler touches all n(n-1)/2 pairs.  The fast path sorts
-the weights once and skip-samples each row under the envelope
-q = min(1, W_i W_j / L), re-tightened at every landed index, so the
+the weights once, groups them into quarter-binade buckets, draws
+candidate pairs of each pair of buckets under the envelope of its
+largest weights, and thins them to the exact edge probabilities, so the
 number of examined candidates stays proportional to n plus the number
 of edges even when the weights are heavy tailed.
 """

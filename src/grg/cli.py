@@ -8,9 +8,9 @@ Subcommands:
 * ``grg lemma1``     truncated-moment ratio table for a heavy-tailed model
 * ``grg report``     re-render a finished run from its result.csv / audit.csv
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numerical or I/O
-failure.  The environment variable GRG_SEED overrides the config master
-seed (an explicit ``--seed`` flag wins over both).
+Exit codes: 0 success, 1 configuration/usage error, 2 numerical, I/O or
+memory failure.  The environment variable GRG_SEED overrides the config
+master seed (an explicit ``--seed`` flag wins over both).
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("out of memory\n")
         return 2
     except GrgError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,9 +5,21 @@ edge independently with probability p_ij = W_i W_j / (L + W_i W_j).
 Two samplers realize that law:
 
 * ``sample_graph_naive`` draws every pair;  O(n^2), the reference path.
-* ``sample_graph_fast`` sorts the weights and skip-samples under the
-  envelope q = min(1, W_i W_j / L), re-tightened at every landed index;
-  expected O(n + edge_count) candidate examinations.
+* ``sample_graph_fast`` thins candidates drawn under a bucket envelope,
+  in numpy (the envelope idea of Batagelj & Brandes, PRE 2005, and
+  Miller & Hagberg, WAW 2011).  The weights are sorted in descending
+  order and grouped into buckets of a quarter binade of w/w_max, so a
+  bucket is a contiguous range whose first weight is its largest.  A
+  block is the product of two buckets, or the strict upper triangle of
+  one; with y = max_A max_B / L every pair of the block has
+  p <= q = y/(1+y).  A block of m pairs with y < 1 draws Poisson(m mu)
+  uniform positions, mu = log(1 + y), and keeps the distinct ones, so
+  each pair is a candidate with probability 1 - e^(-mu) = q,
+  independently of the others; a block with y >= 1 takes every pair as
+  a candidate (q = 1).  Each candidate is an edge with probability p/q.
+  Within a block p varies by at most a factor sqrt(2) in y, so the
+  expected number of candidates is O(n + edge_count).  Up to n = 11 all
+  pairs form one block with q = 1.
 
 ``exact_edge_count_pmf`` gives the exact conditional edge-count law for
 small n by convolving the per-pair Bernoulli indicators, and serves as
@@ -19,7 +31,6 @@ the n x n pair matrix.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +66,21 @@ _SERIES_TERMS = 14
 
 # Pairs above the series cut are evaluated exactly, this many at a time.
 _PAIR_BLOCK = 1 << 22
+
+# The fast sampler draws and thins at most about this many candidate
+# pairs per numpy pass, which bounds its memory.
+_CHUNK = 1 << 17
+
+# Weight buckets are quarter binades of w/w_max: these are their lower
+# edges, over 64 binades; the last bucket is open-ended.
+_LEVELS = 2.0 ** (-np.arange(1, 257) / 4)
+
+# Up to this n the fast sampler takes all pairs as one block with
+# envelope 1: n(n-1)/2 <= 5n candidates, inside the 5(n + E) bound.
+# _COLEX_I/_COLEX_J list the pairs i < j ordered by j, so the pairs of
+# an n-vertex graph are the first n(n-1)/2 entries.
+_ALL_PAIRS_MAX_N = 11
+_COLEX_J, _COLEX_I = np.tril_indices(_ALL_PAIRS_MAX_N, -1)
 
 
 @dataclass(eq=False)
@@ -134,64 +160,44 @@ def sample_graph_naive(
 def sample_graph_fast(
     weights: WeightVector, seed: int, store_edges: bool = False
 ) -> GraphSample:
-    """Skip sampling over descending weights; same law as the naive path.
+    """Bucket thinning in numpy; the same law as the naive path.
 
-    Within a row the envelope value cached from the previous landing
-    dominates the true envelope at every later index (the weights are
-    sorted), so geometric gaps under the cached value plus acceptance
-    p/q are exact.  Where the envelope saturates at 1 the loop degrades
-    to a direct Bernoulli per pair.
+    Every pair is a candidate independently with probability q, the
+    envelope of its block, and a candidate is an edge with probability
+    p/q (see the module docstring).  Candidates are drawn and thinned
+    at most about ``_CHUNK`` at a time, so memory stays O(n + _CHUNK);
+    ``candidates_examined`` counts them.
     """
     n = weights.n
     if n < 2:
         raise ParameterError(f"need at least 2 vertices, got n={n}")
-    order = np.argsort(-weights.values, kind="stable")
-    v = weights.values[order].tolist()
     l_n = weights.sum_l
-    rnd = random.Random(seed & _SEED_MASK)
-    rr = rnd.random
-    log = math.log
-    log1p = math.log1p
-    deg_sorted = [0] * n
-    edges_sorted: list[tuple[int, int]] | None = [] if store_edges else None
-    edge_count = 0
-    candidates = 0
-    for i in range(n - 1):
-        vi = v[i]
-        j = i + 1
-        q = vi * v[j] / l_n
-        if q > 1.0:
-            q = 1.0
-        while j < n:
-            if q < 1.0:
-                if q <= 0.0:
-                    break
-                u = 1.0 - rr()
-                j += int(log(u) / log1p(-q))
-                if j >= n:
-                    break
-            candidates += 1
-            prod = vi * v[j]
-            p = prod / (l_n + prod)
-            if rr() * q < p:
-                edge_count += 1
-                deg_sorted[i] += 1
-                deg_sorted[j] += 1
-                if edges_sorted is not None:
-                    edges_sorted.append((i, j))
-            q = prod / l_n
-            if q > 1.0:
-                q = 1.0
-            j += 1
+    rng = np.random.default_rng(seed & _SEED_MASK)
+    if n <= _ALL_PAIRS_MAX_N:
+        order = None
+        v = weights.values
+        m = n * (n - 1) // 2
+        chunks = [(_COLEX_I[:m], _COLEX_J[:m], 1.0)]
+    else:
+        order = np.argsort(-weights.values)
+        v = weights.values[order]
+        chunks = _bucket_candidates(v, l_n, rng)
     degrees = np.zeros(n, dtype=np.int64)
-    degrees[order] = deg_sorted
-    edges = None
-    if edges_sorted is not None:
-        orig = order.tolist()
-        edges = [
-            (a, b) if a < b else (b, a)
-            for a, b in ((orig[i], orig[j]) for i, j in edges_sorted)
-        ]
+    edges: list[tuple[int, int]] | None = [] if store_edges else None
+    candidates = edge_count = 0
+    for i, j, q in chunks:
+        prod = v[i] * v[j]
+        hit = rng.random(len(i)) * q < prod / (l_n + prod)
+        i, j = i[hit], j[hit]
+        candidates += len(hit)
+        edge_count += len(i)
+        degrees += np.bincount(np.concatenate((i, j)), minlength=n)
+        if edges is not None:
+            if order is not None:
+                i, j = order[i], order[j]
+            edges.extend(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    if order is not None:
+        degrees[order] = degrees.copy()
     return GraphSample(
         n=n,
         edge_count=edge_count,
@@ -201,6 +207,64 @@ def sample_graph_fast(
         candidates_examined=candidates,
         edges=edges,
     )
+
+
+def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
+    """Yield ``(i, j, q)``: candidate pairs of sorted indices and their envelopes.
+
+    Each block's flat positions (row-major for a product, the pairs
+    (c, c + r + 1 mod s) for a triangle of size s) are cut into
+    segments of about ``_CHUNK/2`` expected draws, and whole segments
+    go to one chunk, so no position is drawn in two chunks.  The numpy
+    calls per graph grow with the number of chunks, never with the
+    number of buckets.
+    """
+    n = len(v)
+    # bucket k starts after the weights above v[0] * 2^(-k/4)
+    first = np.append(0, n - np.searchsorted(v[::-1], v[0] * _LEVELS, side="right"))
+    first = first[np.append(True, first[1:] != first[:-1]) & (first < n)]
+    size = np.append(first[1:], n) - first
+    ar = np.arange(len(first))
+    a, b = np.nonzero(ar[:, None] <= ar)
+    diag = a == b
+    row0, col0, width = first[a], first[b], size[b]
+    pairs = np.where(diag, width * (width - 1) // 2, size[a] * width)
+    y = v[row0] * v[col0] / l_n
+    dense = y >= 1.0
+    q = np.where(dense, 1.0, y / (1.0 + y))
+    mu = np.where(dense, 1.0, np.log1p(y))  # expected draws per position
+    base = np.cumsum(pairs) - pairs
+
+    # segments of about _CHUNK/2 expected draws: block, flat start, length, count
+    nseg = np.ceil(pairs * mu / (_CHUNK // 2)).astype(np.int64)
+    seg_len = -(-pairs // np.maximum(nseg, 1))
+    block = np.repeat(np.arange(len(pairs)), nseg)
+    start = (np.arange(len(block)) - np.repeat(np.cumsum(nseg) - nseg, nseg)) * seg_len[block]
+    length = np.maximum(np.minimum(seg_len[block], pairs[block] - start), 0)
+    start += base[block]
+    seg_dense = dense[block]
+    count = np.where(seg_dense, length, rng.poisson(length * mu[block]))
+    slot = np.cumsum(count) - count
+
+    # whole segments per chunk, so no position is drawn in two chunks
+    cuts = np.searchsorted(slot, np.arange(0, int(count.sum()), _CHUNK)).tolist()
+    for s0, s1 in zip(cuts, cuts[1:] + [len(count)]):
+        seg = np.repeat(np.arange(s0, s1), count[s0:s1])
+        if len(seg) == 0:
+            continue
+        offset = rng.integers(length[seg])
+        dense_slot = seg_dense[seg]
+        offset[dense_slot] = (np.arange(len(seg)) + slot[s0] - slot[seg])[dense_slot]
+        # segments hold disjoint increasing key ranges, so the sort keeps
+        # every key beside its segment
+        key = np.sort(start[seg] + offset)
+        new = np.concatenate(([True], key[1:] != key[:-1]))
+        k = block[seg[new]]
+        r, c = np.divmod(key[new] - base[k], width[k])
+        # rectangle: row r, column c; triangle: the pair (c, c + r + 1 mod size)
+        i = row0[k] + np.where(diag[k], c, r)
+        j = np.where(diag[k], row0[k] + (c + r + 1) % width[k], col0[k] + c)
+        yield i, j, q[k]
 
 
 def exact_edge_count_pmf(weights: WeightVector) -> EdgeCountPmf:

@@ -70,6 +70,7 @@ __all__ = [
     "simulate",
     "derive_result",
     "replicate_edges",
+    "replication_weights",
     "audit_pair_moments",
     "proof_audit",
     "mc_pair_moments",
@@ -105,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("limit-law experiments need at least 100 replications")
         if self.theorem == "AUDIT" and not self.t_values:
             raise ConfigError("audit needs at least one t value")
+        if not all(math.isfinite(t) for t in self.t_values):
+            raise ConfigError(f"t_values must be finite, got {self.t_values}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +167,15 @@ def stable_limit_statistic(edge_count, n: int, ew: float, a_n: float):
     return float(out) if out.ndim == 0 else out
 
 
+def replication_weights(model: WeightModel, n: int, master_seed: int, rep: int) -> WeightVector:
+    """The weights of replication ``rep`` at ``n``, drawn from the run's own seed."""
+    return sample_weights(model, n, derive_seed(master_seed, 2 * rep))
+
+
 def _edge_stats_one(args):
     """Edge count (-1 with no sampler), L_n and maybe E[E_n | W] of one replication."""
     model, n, sampler_tag, master_seed, rep, with_mean = args
-    wv = sample_weights(model, n, derive_seed(master_seed, 2 * rep))
+    wv = replication_weights(model, n, master_seed, rep)
     edge_count = -1
     if sampler_tag is not None:
         sampler = sample_graph_fast if sampler_tag == "fast" else sample_graph_naive

@@ -31,6 +31,7 @@ from .limits import (
     audit_pair_moments,
     derive_result,
     replicate_edges,
+    replication_weights,
 )
 from .weights import compute_norming, model_from_config, model_to_config
 
@@ -379,8 +380,11 @@ def _read_result_table(path: Path, config: ExperimentConfig, threads: int):
         cond_means = None
         if config.theorem == "T2":
             _, redrawn, cond_means = replicate_edges(config, n, threads, None, True)
-            if not np.array_equal(redrawn, weight_sums):
-                raise ConfigError(f"result.csv L_n at n={n} differs from the re-drawn weights")
+        else:
+            # replication 0 alone ties the table to the manifest's seed
+            redrawn = [replication_weights(config.model, n, config.master_seed, 0).sum_l]
+        if not np.array_equal(redrawn, weight_sums[: len(redrawn)]):
+            raise ConfigError(f"result.csv L_n at n={n} differs from the re-drawn weights")
         table.append((np.array(edge_counts, dtype=np.int64), weight_sums, cond_means))
         statistics.append(np.array(statistic, dtype=float))
     return table, statistics
@@ -408,7 +412,8 @@ def read_run(run_dir, threads: int = 1):
     """Rebuild a finished run's result from its manifest and result.csv / audit.csv.
 
     Samples no graph and evaluates no audit term: T2 re-draws only the
-    weights, for the conditional edge means, and the audit recomputes its
+    weights, for the conditional edge means; T1 and LLN re-draw the
+    weights of replication 0, to check the seed; the audit recomputes its
     two pair moments.  ConfigError unless the directory is a complete run.
     """
     run_dir = Path(run_dir)

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import (
     BracketingError,
     IntegrationError,
     ParameterError,
+    SizeError,
     UnsupportedModelError,
 )
 
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
+
+# The fast graph sampler numbers the n(n-1)/2 vertex pairs in int64.
+MAX_N = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -285,6 +289,8 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
     """Draw n i.i.d. weights; identical (model, n, seed) give identical output."""
     if n < 2:
         raise ParameterError(f"need at least 2 vertices, got n={n}")
+    if n > MAX_N:
+        raise SizeError(f"vertex counts are capped at n={MAX_N}")
     rng = np.random.default_rng(seed & _SEED_MASK)
     if isinstance(model, ConstantWeights):
         values = np.full(n, model.resolved_value(n))
@@ -305,28 +311,17 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
 
 
 def _pareto_log_inverse_survival(model: ParetoLogWeights, u: np.ndarray) -> np.ndarray:
-    """Solve survival(x) = u for each u in (0, 1] by bisection in log space.
+    """Solve survival(x) = u for each u in (0, 1] in closed form.
 
-    The inverse has no closed form; h(y) = -alpha*y + log(1+y) with
-    y = log(x/xm) is strictly decreasing, so plain bisection converges.
+    With t = 1 + log(x/xm) the equation t e^(-alpha (t - 1)) = u reads
+    (-alpha t) e^(-alpha t) = -alpha u e^(-alpha).  Since t >= 1 and
+    alpha > 1, -alpha t < -1 is the lower branch W_{-1} of the Lambert W
+    function, and alpha e^(-alpha) < 1/e keeps the argument off the
+    branch point: x = xm exp(-W_{-1}(-alpha u e^(-alpha)) / alpha - 1).
     """
-    target = np.log(u)
-    lo = np.zeros_like(target)
-    hi = np.maximum(1.0, -target / (model.alpha - 1.0) + 1.0)
-    # grow hi until h(hi) is below every target
-    for _ in range(200):
-        under = -model.alpha * hi + np.log1p(hi) > target
-        if not under.any():
-            break
-        hi[under] *= 2.0
-    else:
-        raise BracketingError("inverse-survival bracket did not close")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        high_side = -model.alpha * mid + np.log1p(mid) > target
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-    return model.xm * np.exp(0.5 * (lo + hi))
+    a = model.alpha
+    w = special.lambertw(-a * math.exp(-a) * u, k=-1).real
+    return model.xm * np.exp(-w / a - 1.0)
 
 
 def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
@@ -458,17 +453,21 @@ def lemma1_ratio_check(model: WeightModel, x_grid) -> list[LemmaRatios]:
     reported as ``ratio_tail_alt`` for flagging rather than asserted.
     """
     tp = tail_params(model)
-    if tp is None:
-        raise UnsupportedModelError(f"{type(model).__name__} has no tail parameters")
+    if tp is None or not (1.0 < tp.alpha < 2.0):
+        raise UnsupportedModelError("lemma 1 is stated for heavy tails with alpha in (1, 2)")
     out = []
     for x in np.asarray(x_grid, dtype=float):
         x = float(x)
+        if not math.isfinite(x):
+            raise ParameterError(f"truncation point must be finite, got {x}")
         h = float(tp.h(x))
         exact2 = truncated_second_moment(model, x)
         exact_tail = truncated_first_moment_tail(model, x)
         asym2 = tp.c * tp.alpha / (2.0 - tp.alpha) * x ** (2.0 - tp.alpha) * h
         karamata = tp.c * tp.alpha / (tp.alpha - 1.0) * x ** (1.0 - tp.alpha) * h
         alt = tp.c * (2.0 - tp.alpha) / (tp.alpha - 1.0) * x ** (1.0 - tp.alpha) * h
+        if asym2 == 0.0 or karamata == 0.0 or alt == 0.0:
+            raise ParameterError(f"an asymptote underflows to 0 at x={x}")
         out.append(LemmaRatios(x, exact2 / asym2, exact_tail / karamata, exact_tail / alt))
     return out
 
@@ -552,6 +551,8 @@ def model_from_config(config: dict) -> WeightModel:
     params = {
         _FIELD_ALIASES.get(k, k): float(v) for k, v in config.items() if k != "kind"
     }
+    if not all(math.isfinite(v) for v in params.values()):
+        raise ParameterError(f"parameters of {kind} must be finite, got {params}")
     try:
         return cls(**params)
     except TypeError as exc:

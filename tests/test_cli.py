@@ -236,6 +236,12 @@ class TestLemma1Command:
     def test_light_tail_rejected(self, tmp_path):
         assert main(["lemma1", "--model", "exponential:rate=1", "--x", "10"]) == 1
 
+    @pytest.mark.parametrize("x", ["inf", "1e400", "100,nan"])
+    def test_nonfinite_truncation_point_is_exit_1(self, x, capsys):
+        assert main(["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", x]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def finished_runs(tmp_path_factory):
@@ -311,6 +317,12 @@ MALFORMED_RUNS = {
     "t2-l_n-not-reproduced": (
         "T2", "result.csv",
         lambda text: edit_csv(text, 1, 4, lambda f: repr(math.nextafter(float(f), math.inf))),
+    ),
+    "t1-master-seed-differs": (
+        "T1", "manifest.json", lambda text: text.replace('"master_seed": 314', '"master_seed": 315')
+    ),
+    "lln-master-seed-differs": (
+        "LLN", "manifest.json", lambda text: text.replace('"master_seed": 314', '"master_seed": 315')
     ),
     "audit-csv-truncated": ("AUDIT", "audit.csv", lambda text: text[:-3]),
     "audit-t-values-differ": (
@@ -403,6 +415,125 @@ class TestReportCommand:
             assert written["result.csv"] == (run / "result.csv").read_bytes()
         else:
             assert written == {}
+
+
+def run_cli(argv):
+    """Exit code and stderr of ``grg <argv>``, with stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+TINY_T1 = {"model": {"kind": "exponential", "rate": 1.0}, "n_grid": [20], "replications": 100,
+           "master_seed": 3, "theorem": "T1", "sampler": "fast"}
+REQUIRED_FIELDS = ("model", "n_grid", "replications", "master_seed", "theorem")
+JUNK = [None, "x", [None], math.nan, math.inf, -math.inf]
+# Values that no field of TINY_T1 accepts, by field.
+INVALID_FIELDS = {
+    "model": JUNK + [[], {}, {"kind": "nosuch"}, {"kind": "exponential"},
+                     {"kind": "exponential", "rate": -1.0},
+                     {"kind": "exponential", "rate": math.inf},
+                     {"kind": "exponential", "rate": 1.0, "shape": 2.0}],
+    "n_grid": JUNK + [5, [], {}, [1], [-3], ["x"], [math.nan], [math.inf], [10**30]],
+    "replications": JUNK + [[], {}, -1, 0, 99],
+    "master_seed": JUNK + [[], {}, [3]],
+    "theorem": JUNK + [5, "T3", "t1", ""],
+    "sampler": JUNK + [5, "slow", ""],
+    "t_values": JUNK + [5, ["x"], [math.nan], [math.inf]],
+}
+
+
+def invalid_field():
+    return st.sampled_from(sorted(INVALID_FIELDS)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(INVALID_FIELDS[key]))
+    )
+
+
+class TestMalformedInput:
+    """Bad configs, model specs and flags exit 1 or 2, never with a traceback."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(edit=st.one_of(invalid_field(),
+                          st.tuples(st.sampled_from(REQUIRED_FIELDS), st.just(None))),
+           delete=st.booleans())
+    def test_config_with_a_bad_field(self, tmp_path_factory, edit, delete):
+        key, value = edit
+        config = dict(TINY_T1)
+        if delete and key in REQUIRED_FIELDS:
+            del config[key]
+        else:
+            config[key] = value
+        root = tmp_path_factory.mktemp("cfg")
+        (root / "c.json").write_text(json.dumps(config))
+        code, err = run_cli(["experiment", "--config", str(root / "c.json"),
+                             "--out", str(root / "out"), "--threads", "1"])
+        assert code in (1, 2) and "Traceback" not in err, (config, err)
+        assert not (root / "out").exists()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(raw=st.one_of(st.text(max_size=30), st.binary(max_size=30),
+                         st.sampled_from(["[]", "null", "5", '"T1"', "{", "NaN"])))
+    def test_config_file_that_is_not_a_config(self, tmp_path_factory, raw):
+        root = tmp_path_factory.mktemp("cfg")
+        path = root / "c.json"
+        path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+        code, err = run_cli(["experiment", "--config", str(path), "--out", str(root / "out")])
+        assert code == 1 and "Traceback" not in err, err
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(spec=st.one_of(
+        st.text(alphabet="abceilmnoprstxg:=,.-+0123456789", max_size=30),
+        st.builds("{}:{}={}".format,
+                  st.sampled_from(["pareto", "paretolog", "exponential", "gamma", "constant"]),
+                  st.sampled_from(["alpha", "xm", "rate", "lam", "lambda", "shape", "kind", ""]),
+                  st.sampled_from(["1.5", "0", "-1", "nan", "inf", "-inf", "1e400", "1e-320",
+                                   "x", ""])),
+    ))
+    def test_model_spec(self, spec):
+        try:
+            parse_model_spec(spec)
+            parsed = True
+        except ParameterError:
+            parsed = False
+        code, err = run_cli(["sample", f"--model={spec}", "--n", "5", "--seed", "1"])
+        assert "Traceback" not in err, err
+        assert code in ((0, 1) if parsed else (1,)), (spec, err)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(flag=st.sampled_from(["--n", "--threads", "--seed"]), data=st.data())
+    def test_integer_flag(self, tmp_path_factory, flag, data):
+        """Out-of-range or non-integer --n and --threads, and any --seed.
+
+        Only invalid --threads values are drawn: a valid large one would
+        start that many worker processes.
+        """
+        junk = st.text(max_size=12).filter(not_an_int)
+        if flag == "--n":
+            value = data.draw(st.one_of(st.integers(max_value=1).map(str),
+                                        st.integers(min_value=2**32 + 1).map(str), junk))
+        elif flag == "--threads":
+            value = data.draw(st.one_of(st.integers(max_value=-1).map(str), junk))
+        else:
+            value = data.draw(st.one_of(st.integers().map(str), junk))
+        if flag == "--threads":
+            root = tmp_path_factory.mktemp("cfg")
+            cfg = write_config(root / "c.json", n_grid=[20], replications=100)
+            argv = ["experiment", "--config", str(cfg), "--out", str(root / "out")]
+        else:
+            argv = ["sample", "--model", "exponential:rate=1", "--n", "5", "--seed", "1"]
+        code, err = run_cli(argv + [f"{flag}={value}"])
+        assert "Traceback" not in err, err
+        expected = 0 if flag == "--seed" and not not_an_int(value) else 1
+        assert code == expected, (flag, value, err)
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import grg.graph
 from grg import (
     ConstantWeights,
     DomainError,
@@ -286,3 +287,73 @@ class TestSamplers:
         g = sample_graph_naive(WeightVector.from_values([1.0, 1.0]), 5)
         with pytest.raises(ParameterError):
             write_edge_list(g, "/tmp/never.txt")
+
+
+def pair_probabilities(weights):
+    """Dense p_ij over i < j, for checks at small n."""
+    w = weights.values
+    prod = np.outer(w, w)[np.triu_indices(weights.n, 1)]
+    return prod / (weights.sum_l + prod)
+
+
+class TestBucketThinning:
+    """The fast sampler on weights that span many buckets, against the exact law."""
+
+    @pytest.mark.parametrize(
+        "model", [ParetoWeights(1.5, 1.0), ExponentialWeights(1.0)], ids=lambda m: type(m).__name__
+    )
+    def test_edge_count_mean_and_variance(self, model):
+        """Mean E[E_n|W] and variance sum p(1-p) at n=300, each within 4 standard errors."""
+        wv = sample_weights(model, 300, seed=2024)
+        assert np.log2(wv.values.max() / wv.values.min()) > 5  # over 20 buckets
+        p = pair_probabilities(wv)
+        mean, var = conditional_edge_mean(wv), float((p * (1.0 - p)).sum())
+        reps = 4000
+        counts = np.array([sample_graph_fast(wv, s).edge_count for s in range(reps)])
+        assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(var / reps)
+        assert abs(counts.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (reps - 1))
+
+    def test_pair_frequencies_across_chunks(self, monkeypatch):
+        """Every pair's edge frequency matches p_ij when the candidates span many chunks.
+
+        A dominant weight puts some blocks at envelope 1.  With 16
+        candidates per chunk every block is cut into several segments.
+        """
+        monkeypatch.setattr(grg.graph, "_CHUNK", 16)
+        rng = np.random.default_rng(3)
+        wv = WeightVector.from_values(np.concatenate([[400.0, 250.0, 90.0],
+                                                      rng.pareto(1.2, 37) + 0.05]))
+        p = pair_probabilities(wv)
+        reps = 5000
+        counts = np.zeros((wv.n, wv.n))
+        for s in range(reps):
+            i, j = np.array(sample_graph_fast(wv, s, store_edges=True).edges).reshape(-1, 2).T
+            counts[i, j] += 1
+        hits = counts[np.triu_indices(wv.n, 1)]
+        spread = reps * p * (1.0 - p)
+        z2 = (hits - reps * p) ** 2 / np.maximum(spread, 1e-300)
+        wide = spread >= 5.0
+        assert wide.sum() > 100
+        assert abs(z2[wide].mean() - 1.0) <= 0.25, z2[wide].mean()
+        # the rare pairs pooled
+        rare = reps * p[~wide].sum()
+        assert abs(hits[~wide].sum() - rare) <= 4.0 * math.sqrt(rare)
+
+    def test_stored_edges_rebuild_degrees(self):
+        wv = sample_weights(ParetoWeights(1.5, 1.0), 2000, seed=5)
+        g = sample_graph_fast(wv, 6, store_edges=True)
+        edges = np.array(g.edges)
+        assert len(edges) == g.edge_count > 0
+        assert np.all(edges[:, 0] < edges[:, 1])
+        assert len({tuple(e) for e in edges.tolist()}) == g.edge_count
+        assert np.array_equal(np.bincount(edges.ravel(), minlength=2000), g.degrees)
+        empty = sample_graph_fast(WeightVector.from_values(np.full(50, 1e-6)), 1, store_edges=True)
+        assert empty.edges == [] and empty.edge_count == 0
+
+    def test_tiny_envelopes_do_not_overflow(self):
+        """Envelopes of about 3e-22 between the light weights: no index overflow."""
+        wv = WeightVector.from_values(np.concatenate([np.full(2000, 1e-9), [1e3, 1e3, 1e3]]))
+        for seed in range(20):
+            g = sample_graph_fast(wv, seed)
+            assert int(g.degrees.sum()) == 2 * g.edge_count
+            assert g.candidates_examined <= 5 * (wv.n + g.edge_count)

@@ -217,6 +217,17 @@ class TestParetoLog:
         res = ks_one_sample(wv.values, lambda x: 1.0 - model.survival(x))
         assert res.p_value > 0.01, res
 
+    def test_inverse_survival_round_trip(self):
+        """survival(x(u)) = u to 1e-13 relative, from u = 1 (x = xm) down to u = 1e-300."""
+        from grg.weights import _pareto_log_inverse_survival
+
+        model = ParetoLogWeights(1.5, 2.0)
+        u = np.concatenate([[1.0, 1e-300], np.geomspace(1e-300, 1.0, 601),
+                            1.0 - np.random.default_rng(4).random(1000)])
+        x = _pareto_log_inverse_survival(model, u)
+        assert x[0] == pytest.approx(2.0, rel=1e-15)
+        np.testing.assert_allclose(model.survival(x), u, rtol=1e-13, atol=0)
+
     def test_tail_params_logarithmic(self):
         tp = tail_params(ParetoLogWeights(1.5, 2.0))
         assert tp.h_kind == "logarithmic"
@@ -243,6 +254,21 @@ class TestLemmaRatios:
     def test_needs_tail_model(self):
         with pytest.raises(UnsupportedModelError):
             lemma1_ratio_check(ExponentialWeights(1.0), [10.0])
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 1e400, -math.inf])
+    def test_refuses_nonfinite_truncation_point(self, x):
+        with pytest.raises(ParameterError):
+            lemma1_ratio_check(ParetoWeights(1.5, 1.0), [100.0, x])
+
+    def test_refuses_underflowing_asymptote(self):
+        """The tail constant c = xm^alpha underflows to 0 for a tiny xm."""
+        with pytest.raises(ParameterError):
+            lemma1_ratio_check(ParetoWeights(1.5, 1e-250), [10.0])
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    def test_needs_alpha_in_open_interval(self, alpha):
+        with pytest.raises(UnsupportedModelError):
+            lemma1_ratio_check(ParetoWeights(alpha, 1.0), [10.0])
 
 
 class TestNorming:
