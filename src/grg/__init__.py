@@ -53,6 +53,7 @@ from .graph import (
     conditional_edge_mean,
     edge_probability,
     exact_edge_count_pmf,
+    pair_power_sums,
     sample_graph_fast,
     sample_graph_naive,
     write_edge_list,
@@ -80,7 +81,6 @@ from .limits import (
     LimitResult,
     LlnResult,
     NormalizedSample,
-    mc_pair_moments,
     normal_limit_statistic,
     proof_audit,
     run_experiment,

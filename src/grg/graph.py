@@ -25,11 +25,12 @@ Two samplers realize that law:
 small n by convolving the per-pair Bernoulli indicators, and serves as
 the distributional oracle for both samplers.  ``conditional_edge_mean``
 gives its mean, E[E_n | W] = sum_{i<j} p_ij, at any n without forming
-the n x n pair matrix.
+the n x n pair matrix, from the pair power sums of ``pair_power_sums``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,7 @@ __all__ = [
     "sample_graph_fast",
     "exact_edge_count_pmf",
     "conditional_edge_mean",
+    "pair_power_sums",
     "write_edge_list",
 ]
 
@@ -58,11 +60,12 @@ NAIVE_MAX_N = 20_000
 # Exact pmf convolution is capped at 66 edge indicators.
 PMF_MAX_N = 12
 
-# conditional_edge_mean sums p = y/(1+y), y = W_i W_j / L, by its power
-# series wherever y <= _SERIES_CUT; _SERIES_TERMS terms leave a relative
-# truncation error below _SERIES_CUT**_SERIES_TERMS = 2**-56 per pair.
+# pair_power_sums sums y^k, y = W_i W_j / L, over the pairs with y <= _SERIES_CUT;
+# there conditional_edge_mean sums p = y/(1+y) by its series, whose _SERIES_TERMS
+# terms truncate below _SERIES_CUT**_SERIES_TERMS = 2**-56 relative per pair.
 _SERIES_CUT = 1.0 / 16.0
 _SERIES_TERMS = 14
+_SERIES_SIGNS = (-1.0) ** np.arange(_SERIES_TERMS)
 
 # Pairs above the series cut are evaluated exactly, this many at a time.
 _PAIR_BLOCK = 1 << 22
@@ -285,52 +288,64 @@ def exact_edge_count_pmf(weights: WeightVector) -> EdgeCountPmf:
     return EdgeCountPmf(pmf)
 
 
+def pair_power_sums(weights: WeightVector, terms: int):
+    """Power sums of y = W_i W_j / L over the ordered pairs, diagonal included.
+
+    Returns ``(sums, large)``: ``sums[k - 1]`` sums y^k, k = 1..terms,
+    over the pairs with y <= 1/16; ``large`` yields the y of every other
+    pair, about ``_PAIR_BLOCK`` at a time.  With u = W / sqrt(L), a vertex
+    with u_i <= (1/16) / max(u) is in small pairs only and enters through
+    power sums of u; the other vertices are sorted, and the small pairs of
+    each such row, a prefix, enter through prefix sums.  A vertex whose
+    u^terms would overflow has all its pairs in ``large``.
+    """
+    u = weights.values / math.sqrt(weights.sum_l)
+    huge = u > 2.0 ** (900.0 / terms)  # keeps n^2 u^terms below the float range
+    v = u[~huge] if huge.any() else u
+    low = v <= _SERIES_CUT / float(v.max(initial=_SERIES_CUT))  # v is empty if all are huge
+    tail = np.sort(v[~low])
+    cut = np.searchsorted(tail, _SERIES_CUT / tail, side="right")
+    base = np.concatenate((v[low], tail))
+    powers = base.copy()  # the head's powers, then the tail's, through two views
+    head_k, tail_k = powers[: len(v) - len(tail)], powers[len(v) - len(tail) :]
+    prefix = np.zeros(len(tail) + 1)
+    sums = np.empty(terms)
+    for k in range(terms):
+        s_head, s_tail = float(head_k.sum()), float(tail_k.sum())
+        np.cumsum(tail_k, out=prefix[1:])
+        # head x all, tail x head, then the small pairs inside the tail
+        sums[k] = s_head * (s_head + 2.0 * s_tail) + float(tail_k @ prefix[cut])
+        powers *= base
+    # a huge vertex x pairs with every vertex, and every other vertex with x
+    rows = ((x * u, x * v) for x in u[huge].tolist())
+    return sums, itertools.chain(_large_pairs(tail, cut), itertools.chain.from_iterable(rows))
+
+
+def _large_pairs(tail: np.ndarray, cut: np.ndarray):
+    """Yield u_i u_j over the pairs of each sorted tail row past its cut."""
+    counts = len(tail) - cut
+    ends = np.append(0, np.cumsum(counts))  # pairs in the rows before each row
+    lo = int(np.searchsorted(ends, 0, side="right")) - 1  # the rows before lo have none
+    while lo < len(tail):
+        # rows lo..hi-1 hold at most _PAIR_BLOCK pairs, or just row lo
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _PAIR_BLOCK, side="right")) - 1)
+        c = counts[lo:hi]
+        j = np.arange(ends[hi] - ends[lo]) + np.repeat(cut[lo:hi] - (ends[lo:hi] - ends[lo]), c)
+        yield tail[np.repeat(np.arange(lo, hi), c)] * tail[j]
+        lo = hi
+
+
 def conditional_edge_mean(weights: WeightVector) -> float:
     """E[E_n | W] = sum_{i<j} p_ij, exact to rounding, without an n x n array.
 
-    With u = W / sqrt(L) each pair has p = y / (1 + y), y = u_i u_j, and
-    the sum over ordered pairs (diagonal included) is halved after the
-    diagonal is removed.  A pair with y <= 1/16 is summed through the
-    alternating series y - y^2 + y^3 - ..., which factorizes into power
-    sums of u.  Every pair with a member u_i <= (1/16) / max(u) is such a
-    pair, so those vertices enter only through their power sums.  The
-    other vertices (the tail) are sorted; within the tail the small
-    pairs of each row form a prefix, summed by prefix sums of powers,
-    and the few pairs with y > 1/16 are added exactly.  Cost is
-    O(n + t log t + #{y > 1/16}) for a tail of t vertices.
+    p = y/(1+y) = y - y^2 + ... over the small pairs of :func:`pair_power_sums`.
     """
-    n = weights.n
-    if n < 2:
-        raise ParameterError(f"need at least 2 vertices, got n={n}")
-    u = weights.values / math.sqrt(weights.sum_l)
-    low = u <= _SERIES_CUT / float(u.max())
-    head = u[low]
-    tail = np.sort(u[~low])
-    cut = np.searchsorted(tail, _SERIES_CUT / tail, side="right")
-    head_k = head.copy()
-    tail_k = tail.copy()
-    prefix = np.zeros(len(tail) + 1)
-    series = 0.0
-    sign = 1.0
-    for _ in range(_SERIES_TERMS):
-        s_head = float(head_k.sum())
-        s_tail = float(tail_k.sum())
-        np.cumsum(tail_k, out=prefix[1:])
-        # head x all, tail x head, then the small pairs inside the tail
-        series += sign * (s_head * (s_head + 2.0 * s_tail) + float(tail_k @ prefix[cut]))
-        head_k *= head
-        tail_k *= tail
-        sign = -sign
-    large = 0.0
-    counts = len(tail) - cut
-    rows = max(1, _PAIR_BLOCK // max(1, len(tail)))
-    for lo in range(0, len(tail), rows):
-        c = counts[lo : lo + rows]
-        i = np.repeat(np.arange(lo, lo + len(c)), c)
-        j = np.arange(int(c.sum())) + np.repeat(cut[lo : lo + rows] - (np.cumsum(c) - c), c)
-        y = tail[i] * tail[j]
-        large += float((y / (1.0 + y)).sum())
-    diag = u * u
+    if weights.n < 2:
+        raise ParameterError(f"need at least 2 vertices, got n={weights.n}")
+    sums, large_pairs = pair_power_sums(weights, _SERIES_TERMS)
+    series = float(np.cumsum(sums * _SERIES_SIGNS)[-1])  # y - y^2 + ..., in order of k
+    large = sum(float((y / (1.0 + y)).sum()) for y in large_pairs)
+    diag = (weights.values / math.sqrt(weights.sum_l)) ** 2
     return 0.5 * (series + large - float((diag / (1.0 + diag)).sum()))
 
 

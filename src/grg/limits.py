@@ -18,7 +18,8 @@ Three Monte Carlo experiments and one deterministic audit:
 * ``run_lln`` -- E_n/n against EW/2.
 * ``run_proof_audit`` -- the deterministic bound terms that control the
   characteristic-function expansion of the edge count, evaluated on
-  sampled weight vectors; all of them must drift to zero as n grows.
+  sampled weight vectors, and two exact pair moments of the weight law;
+  all of them must drift to zero as n grows.
 
 Each run is ``simulate`` (replications -> per-n table) followed by
 ``derive_result`` (table -> result), the only place that computes KS
@@ -40,17 +41,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, HypothesisError, SizeError
-from .graph import conditional_edge_mean, sample_graph_fast, sample_graph_naive
+from .errors import ConfigError, DomainError, HypothesisError
+from .graph import conditional_edge_mean, pair_power_sums, sample_graph_fast, sample_graph_naive
 from .seeding import derive_seed
 from .stats import KsResult, ks_one_sample, ks_two_sample, normal_cdf
 from .weights import (
     WeightModel,
     WeightVector,
+    _pdf_at,
+    _quad,
     analytic_moments,
     compute_norming,
     sample_weights,
     tail_params,
+    truncated_first_moment_tail,
+    truncated_second_moment,
 )
 
 __all__ = [
@@ -73,11 +78,9 @@ __all__ = [
     "replication_weights",
     "audit_pair_moments",
     "proof_audit",
-    "mc_pair_moments",
 ]
 
 EXPERIMENT_KINDS = ("T1", "T2", "LLN", "AUDIT")
-AUDIT_MAX_N = 20_000
 AUDIT_TERM_NAMES = ("selfloop_bound", "i1_bound", "i3_bound", "t_a", "t_b", "t_c", "t_d")
 
 
@@ -285,34 +288,38 @@ def _lln_run(config, n, edge_counts, weight_sums, cond_means) -> LlnRun:
     )
 
 
+# Power-series coefficients in y = W_i W_j / L of the audit's pair sums,
+# rows t_b, t_c, t_d: p = y/(1+y), y p = y^2/(1+y) and p^2.  With
+# y <= 1/16, 20 terms truncate below 2^-70 relative.
+_AUDIT_SERIES = np.array([
+    [(-1.0) ** (k + 1), (-1.0) ** k * (k >= 2), (-1.0) ** k * (k - 1)] for k in range(1, 21)
+]).T
+
+
 def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> AuditTerms:
-    """Evaluate the expansion bound terms exactly as written, O(n^2).
+    """Evaluate the expansion bound terms, exact to rounding, near linear in n.
 
     Diagonal pairs i = j are included in every double sum; the diagonal
-    correction also appears separately as ``selfloop_bound``.  The
-    normings are passed in explicitly so degenerate models stay
-    auditable with whatever normings make sense for them.
+    correction also appears separately as ``selfloop_bound``.  The pair
+    sums are series over :func:`pair_power_sums`.  The normings are
+    passed in explicitly so degenerate models stay auditable with
+    whatever normings make sense for them.
     """
-    n = weights.n
-    if n > AUDIT_MAX_N:
-        raise SizeError(f"audit double sums are capped at n={AUDIT_MAX_N}")
     if not (c_n > 0 and a_n > 0):
         raise DomainError("normings must be positive")
-    w = weights.values
+    n = weights.n
     l_n = weights.sum_l
     sum_sq = weights.sum_sq
     abs_t = abs(t)
     selfloop = 2.0 * abs_t / c_n * sum_sq / l_n
     i1 = abs_t**3 * l_n / (12.0 * c_n**3)
     i3 = t * t / (c_n * c_n) * (sum_sq / n) ** 2 * (n / l_n) ** 2
-    sum_b = sum_c = sum_d = 0.0
-    block = max(1, min(2048, (1 << 22) // n))
-    for lo in range(0, n, block):
-        prod = w[lo : lo + block, None] * w[None, :]
-        ratio = prod / (l_n + prod)
-        sum_b += float(ratio.sum())
-        sum_c += float((prod * ratio).sum()) / l_n
-        sum_d += float((ratio * ratio).sum())
+    sums, large_pairs = pair_power_sums(weights, _AUDIT_SERIES.shape[1])
+    totals = _AUDIT_SERIES @ sums
+    for y in large_pairs:
+        p = y / (1.0 + y)
+        totals += [p.sum(), (y * p).sum(), (p * p).sum()]
+    sum_b, sum_c, sum_d = totals.tolist()
     return AuditTerms(
         n=n,
         t=t,
@@ -328,30 +335,24 @@ def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> Audi
     )
 
 
-def mc_pair_moments(
-    model: WeightModel, n: int, a_n: float, seed: int, draws: int = 10**6
-) -> tuple[float, float]:
-    """Monte Carlo estimates of the two pair-moment vanishing terms,
+def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, float]:
+    """The two pair-moment vanishing terms, exact to quadrature accuracy:
 
         (1/a_n) * E[ W1^2 W2^2 ; W1 W2 <= n ]   and
         (n/a_n) * E[ W1 W2     ; W1 W2 >  n ].
 
-    Use the same seed across an n-grid so the trend is read off common
-    random numbers rather than independent noise.
+    Each is an integral over W1 of a truncated moment of W2 (closed form
+    for the power-law models) up to W1 = n/xm; past it every W2 >= xm
+    exceeds the cut, which adds EW * E[W; W >= n/xm] to the second.
     """
-    rng = np.random.default_rng(seed & ((1 << 64) - 1))
-    w1 = sample_weights(model, draws, int(rng.integers(0, 2**63))).values
-    w2 = sample_weights(model, draws, int(rng.integers(0, 2**63))).values
-    prod = w1 * w2
-    small = prod <= n
-    m_small = float(np.mean(np.where(small, prod * prod, 0.0))) / a_n
-    m_large = n * float(np.mean(np.where(small, 0.0, prod))) / a_n
-    return m_small, m_large
+    xm, pdf = model.support_lower, lambda w: _pdf_at(model, w)
+    small = _quad(lambda w: pdf(w) * w * w * truncated_second_moment(model, n / w), xm, n / xm)
+    large = _quad(lambda w: pdf(w) * w * truncated_first_moment_tail(model, n / w), xm, n / xm)
+    large += analytic_moments(model).ew * truncated_first_moment_tail(model, n / xm)
+    return small / a_n, n * large / a_n
 
 
-def audit_pair_moments(config: ExperimentConfig, n: int, a_n: float) -> tuple[float, float]:
-    """The audit's two pair moments at n, on the seed common to the n grid."""
-    return mc_pair_moments(config.model, n, a_n, derive_seed(config.master_seed, 0x5041))
+mc_pair_moments = audit_pair_moments  # its former name, still a perfbench per-layer metric
 
 
 def _audit_one(args):
@@ -370,18 +371,8 @@ class AuditGridPoint:
     pair_moment_large: float
 
     def medians(self) -> dict[float, dict[str, float]]:
-        out: dict[float, dict[str, float]] = {}
-        for t in sorted({term.t for term in self.terms}):
-            at_t = [term for term in self.terms if term.t == t]
-            out[t] = {
-                name: float(np.median([getattr(term, name) for term in at_t]))
-                for name in AUDIT_TERM_NAMES
-            }
-        return out
-
-
-def _audit_point(config, n, *row) -> AuditGridPoint:
-    return AuditGridPoint(n, *row)
+        return {t: {name: float(np.median([getattr(x, name) for x in self.terms if x.t == t]))
+                    for name in AUDIT_TERM_NAMES} for t in sorted({x.t for x in self.terms})}
 
 
 @dataclass(eq=False)
@@ -418,23 +409,16 @@ class AuditResult:
     def median_trends(self) -> dict[float, dict[str, bool]]:
         """Whether each term's median strictly decreases along the n grid."""
         per_point = [p.medians() for p in self.runs]
-        out: dict[float, dict[str, bool]] = {}
-        for t in per_point[0]:
-            out[t] = {
-                name: all(
-                    a[t][name] > b[t][name] for a, b in zip(per_point, per_point[1:])
-                )
-                for name in AUDIT_TERM_NAMES
-            }
-        return out
+        return {t: {name: _decreasing([m[t][name] for m in per_point]) for name in AUDIT_TERM_NAMES}
+                for t in per_point[0]}
 
     def pair_moment_trends(self) -> dict[str, bool]:
-        small = [p.pair_moment_small for p in self.runs]
-        large = [p.pair_moment_large for p in self.runs]
-        return {
-            "pair_moment_small": all(a > b for a, b in zip(small, small[1:])),
-            "pair_moment_large": all(a > b for a, b in zip(large, large[1:])),
-        }
+        return {name: _decreasing([getattr(p, name) for p in self.runs])
+                for name in ("pair_moment_small", "pair_moment_large")}
+
+
+def _decreasing(values: list[float]) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 def _check_hypothesis(config: ExperimentConfig) -> None:
@@ -469,7 +453,7 @@ def simulate(config: ExperimentConfig, threads: int = 1) -> list[tuple]:
             for rep in range(config.replications)
         ]
         terms = [term for chunk in _map_ordered(_audit_one, args, threads) for term in chunk]
-        table.append((0.5 * a_n, a_n, terms, *audit_pair_moments(config, n, a_n)))
+        table.append((0.5 * a_n, a_n, terms, *audit_pair_moments(config.model, n, a_n)))
     return table
 
 
@@ -477,7 +461,7 @@ _DERIVATIONS = {
     "T1": (_gaussian_run, LimitResult),
     "T2": (_stable_run, LimitResult),
     "LLN": (_lln_run, LlnResult),
-    "AUDIT": (_audit_point, AuditResult),
+    "AUDIT": (lambda config, n, *row: AuditGridPoint(n, *row), AuditResult),
 }
 
 

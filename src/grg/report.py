@@ -391,7 +391,7 @@ def _read_result_table(path: Path, config: ExperimentConfig, threads: int):
 
 
 def _read_audit_table(path: Path, config: ExperimentConfig):
-    """Per n, the audit terms of audit.csv and the recomputed pair moments."""
+    """Per n, the audit terms of audit.csv and the exact pair moments."""
     per_n = config.replications * len(config.t_values)
     types = (_count, _count) + (_finite,) * len(_AUDIT_FIELDS)
     rows = _read_csv(path, AUDIT_CSV_HEADER, types, len(config.n_grid) * per_n)
@@ -404,7 +404,7 @@ def _read_audit_table(path: Path, config: ExperimentConfig):
         if [row[:5] for row in block] != keys:
             raise ConfigError(f"audit.csv rows at n={n} do not match the manifest's config")
         terms = [AuditTerms(row[0], *row[2:]) for row in block]
-        table.append((0.5 * a_n, a_n, terms, *audit_pair_moments(config, n, a_n)))
+        table.append((0.5 * a_n, a_n, terms, *audit_pair_moments(config.model, n, a_n)))
     return table
 
 
@@ -413,8 +413,9 @@ def read_run(run_dir, threads: int = 1):
 
     Samples no graph and evaluates no audit term: T2 re-draws only the
     weights, for the conditional edge means; T1 and LLN re-draw the
-    weights of replication 0, to check the seed; the audit recomputes its
-    two pair moments.  ConfigError unless the directory is a complete run.
+    weights of replication 0, to check the seed; the audit draws nothing
+    and recomputes its two exact pair moments.  ConfigError unless the
+    directory is a complete run.
     """
     run_dir = Path(run_dir)
     manifest = read_json(run_dir / "manifest.json", "manifest.json")

@@ -189,8 +189,8 @@ class ParetoLogWeights:
 
     def survival(self, w):
         w = np.asarray(w, dtype=float)
-        out = np.ones_like(w)
-        mask = w >= self.xm
+        out = np.where(w == np.inf, 0.0, 1.0)  # r^(-alpha) (1 + log r) is 0 * inf there
+        mask = (w >= self.xm) & (w < np.inf)
         r = w[mask] / self.xm
         out[mask] = r ** (-self.alpha) * (1.0 + np.log(r))
         return out

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import grg.graph
 import grg.limits
+import grg.weights
 from grg.cli import main, parse_model_spec
 from grg import ExponentialWeights, ParameterError, ParetoWeights
 
@@ -357,6 +358,9 @@ class TestReportCommand:
             monkeypatch.setattr(module, "sample_graph_fast", resimulated)
             monkeypatch.setattr(module, "sample_graph_naive", resimulated)
         monkeypatch.setattr(grg.limits, "proof_audit", resimulated)
+        if kind == "AUDIT":  # the pair moments are exact: no weights are drawn
+            for module in (grg.weights, grg.limits):
+                monkeypatch.setattr(module, "sample_weights", resimulated)
         run, out = finished_runs[kind], tmp_path / "again"
         assert main(["report", "--run", str(run), "--out", str(out), "--threads", "1"]) == 0
         payload = sorted(p.name for p in run.iterdir())

@@ -160,6 +160,22 @@ class TestConditionalEdgeMean:
         wv = WeightVector.from_values(values)
         assert conditional_edge_mean(wv) == pytest.approx(dense_pair_sum(wv), rel=1e-12)
 
+    def test_weights_whose_powers_overflow(self):
+        """A vertex with u^14 past the float range has its pairs summed exactly."""
+        for values in ([1e50, 3.0, 2.0, 1.0, 1e-3], [1e50, 1e49, 3.0, 1e-3, 1e-9], [1e60, 1e60]):
+            wv = WeightVector.from_values(values)
+            assert conditional_edge_mean(wv) == pytest.approx(dense_pair_sum(wv), rel=1e-12)
+
+    def test_large_pairs_in_small_blocks(self, monkeypatch):
+        """Large pairs split into blocks of a few rows, and rows longer than a block."""
+        values = np.concatenate([np.full(40, 500.0), np.linspace(0.1, 3.0, 300)])
+        wv = WeightVector.from_values(values)
+        expected = conditional_edge_mean(wv)
+        for block in (1, 7, 100):
+            monkeypatch.setattr(grg.graph, "_PAIR_BLOCK", block)
+            assert conditional_edge_mean(wv) == pytest.approx(expected, rel=1e-13)
+            assert conditional_edge_mean(wv) == pytest.approx(dense_pair_sum(wv), rel=1e-12)
+
     @pytest.mark.parametrize("n", [10, 1000, 100_000])
     def test_constant_weights(self, n):
         """Weights n lam/(n - lam) give p = lam/n, so the mean is (n-1) lam/2."""

@@ -12,16 +12,17 @@ from grg import (
     DomainError,
     ExperimentConfig,
     ExponentialWeights,
+    GammaWeights,
     HypothesisError,
+    LogNormalWeights,
+    ParetoLogWeights,
     ParetoWeights,
-    SizeError,
     WeightVector,
     analytic_moments,
     compute_norming,
     conditional_edge_mean,
     derive_seed,
     ks_two_sample,
-    mc_pair_moments,
     normal_limit_statistic,
     proof_audit,
     run_experiment,
@@ -31,9 +32,42 @@ from grg import (
     run_stable_limit,
     sample_weights,
     stable_limit_statistic,
-    truncated_first_moment_tail,
-    truncated_second_moment,
 )
+from grg.limits import audit_pair_moments
+
+SIX_MODELS = [
+    ConstantWeights(2.0),
+    ExponentialWeights(1.0),
+    LogNormalWeights(0.0, 1.0),
+    GammaWeights(2.0, 1.5),
+    ParetoWeights(1.5, 1.0),
+    ParetoLogWeights(1.5, 1.0),
+]
+
+
+def _dense_audit(weights):
+    """The audit pair sums over the full n x n pair matrix, a block of rows at a time.
+
+    Returns (sum p, sum y p, sum p^2) over all ordered pairs, diagonal
+    included, with y = W_i W_j / L and p = y / (1 + y).
+    """
+    w = weights.values
+    l_n = weights.sum_l
+    sum_b = sum_c = sum_d = 0.0
+    block = max(1, min(2048, (1 << 22) // weights.n))
+    for lo in range(0, weights.n, block):
+        prod = w[lo : lo + block, None] * w[None, :]
+        ratio = prod / (l_n + prod)
+        sum_b += float(ratio.sum())
+        sum_c += float((prod * ratio).sum()) / l_n
+        sum_d += float((ratio * ratio).sum())
+    return sum_b, sum_c, sum_d
+
+
+def _assert_matches_dense(weights):
+    terms = proof_audit(weights, 1.0, 1.0, 1.0)
+    dense = _dense_audit(weights)
+    np.testing.assert_allclose([terms.t_b, terms.t_c, terms.t_d], dense, rtol=1e-12, atol=0)
 
 
 class TestStatistics:
@@ -223,10 +257,27 @@ class TestProofAudit:
         # sum_ij w_i w_j/(L + w_i w_j) with L=2: 4 * (1/3)
         np.testing.assert_allclose(terms.t_b, 4.0 / 3.0)
 
-    def test_size_cap(self):
-        wv = WeightVector(np.ones(20_001), 20_001.0, 20_001.0)
-        with pytest.raises(SizeError):
-            proof_audit(wv, 1.0, 1.0, 1.0)
+    @pytest.mark.parametrize("model", SIX_MODELS, ids=lambda m: type(m).__name__)
+    def test_matches_dense_loop(self, model):
+        for seed in (1, 2):
+            _assert_matches_dense(sample_weights(model, 2000, seed))
+
+    def test_pairs_above_the_series_cut(self):
+        """50 dominant weights put 2,500 ordered pairs past the series cut."""
+        values = np.concatenate([np.ones(2000), np.full(50, 1e3)])
+        _assert_matches_dense(WeightVector.from_values(values))
+
+    def test_weights_whose_powers_overflow(self):
+        for values in ([1e32, 3.0, 2.0, 1.0, 1e-3], [1e50, 1e49, 3.0, 1e-3, 1e-9], [1e60, 1e60]):
+            _assert_matches_dense(WeightVector.from_values(values))
+
+    def test_large_n_is_finite(self):
+        """No size cap: Pareto(1.5) at n = 1e5 gives finite terms."""
+        wv = sample_weights(ParetoWeights(1.5, 1.0), 10**5, seed=8)
+        a_n = compute_norming(ParetoWeights(1.5, 1.0), 10**5)
+        terms = proof_audit(wv, 1.0, 0.5 * a_n, a_n)
+        for name in ("selfloop_bound", "i1_bound", "i3_bound", "t_a", "t_b", "t_c", "t_d"):
+            assert math.isfinite(getattr(terms, name)), name
 
     def test_audit_run_trends(self):
         """Small grid: every audited median decreases with n."""
@@ -251,47 +302,40 @@ class TestProofAudit:
 
 
 class TestPairMoments:
-    def _quadrature_oracle(self, model, n):
-        """1-d quadrature over the truncated-moment primitives."""
-        xm = model.xm
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("n", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("xm", [1.0, 2.0])
+    def test_pareto_closed_forms(self, alpha, n, xm):
+        """Pareto(alpha, xm): Z = W1 W2 / xm^2 has density alpha^2 z^(-alpha-1) log z, z >= 1."""
+        a_n, m = 7.0, n / xm**2
+        small, large = audit_pair_moments(ParetoWeights(alpha, xm), n, a_n)
+        a2, b, c = alpha**2, 2.0 - alpha, alpha - 1.0
+        exact_small = a2 * (m**b * (math.log(m) / b - 1.0 / b**2) + 1.0 / b**2)
+        exact_large = a2 * m ** (1.0 - alpha) * (math.log(m) / c + 1.0 / c**2)
+        assert small * a_n == pytest.approx(xm**4 * exact_small, rel=1e-9)
+        assert large * a_n / n == pytest.approx(xm**2 * exact_large, rel=1e-9)
 
-        def small_integrand(w):
-            pdf = model.alpha * xm**model.alpha * w ** (-model.alpha - 1)
-            return pdf * w * w * truncated_second_moment(model, n / w)
+    def test_paretolog_against_double_quadrature(self):
+        """ParetoLog(1.5, 1) at n = 1e3 against a 2-d integral over w1 w2 <= n."""
+        alpha, n = 1.5, 1e3
+        model = ParetoLogWeights(alpha, 1.0)
 
-        small = integrate.quad(small_integrand, xm, n / xm, limit=400)[0]
+        def pdf(w):
+            return w ** (-alpha - 1.0) * (alpha * (1.0 + math.log(w)) - 1.0)
 
-        def large_integrand(w):
-            pdf = model.alpha * xm**model.alpha * w ** (-model.alpha - 1)
-            return pdf * w * truncated_first_moment_tail(model, max(n / w, xm))
+        def below(power):
+            """E[(W1 W2)^power; W1 W2 <= n], in log coordinates r, s."""
 
+            def integrand(s, r):
+                return math.exp((power + 1.0) * (r + s)) * pdf(math.exp(r)) * pdf(math.exp(s))
+
+            return integrate.dblquad(integrand, 0.0, math.log(n), 0.0, lambda r: math.log(n) - r,
+                                     epsabs=0, epsrel=1e-11)[0]
+
+        small, large = audit_pair_moments(model, n, 1.0)
         ew = analytic_moments(model).ew
-        large = integrate.quad(large_integrand, xm, n / xm, limit=400)[0]
-        # for w1 > n/xm every w2 >= xm already exceeds the product cut
-        large += ew * truncated_first_moment_tail(model, n / xm)
-        return small, large
-
-    def test_against_quadrature(self):
-        """Monte Carlo pair moments agree with exact 1-d quadrature.
-
-        Both integrands are heavy tailed, so 1e6 draws carry sizable
-        relative noise (the product-tail term misses rare huge products);
-        the band below reflects that, not a systematic defect.
-        """
-        model = ParetoWeights(1.5, 1.0)
-        n = 1000
-        a_n = compute_norming(model, n)
-        mc_small, mc_large = mc_pair_moments(model, n, a_n, seed=13, draws=10**6)
-        ex_small, ex_large = self._quadrature_oracle(model, n)
-        assert abs(mc_small * a_n / ex_small - 1.0) < 0.35
-        assert abs(mc_large * a_n / (n * ex_large) - 1.0) < 0.35
-
-    def test_deterministic(self):
-        model = ParetoWeights(1.5, 1.0)
-        assert mc_pair_moments(model, 100, 40.0, seed=5, draws=10**4) == mc_pair_moments(
-            model, 100, 40.0, seed=5, draws=10**4
-        )
-
+        assert small == pytest.approx(below(2.0), rel=1e-8)
+        assert large / n == pytest.approx(ew * ew - below(1.0), rel=1e-8)
 
 class TestDispatch:
     def test_run_experiment_routes(self):

@@ -204,6 +204,13 @@ class TestParetoLog:
         assert np.all(np.diff(s) <= 0)
         assert np.all((s >= 0) & (s <= 1))
 
+    def test_survival_at_infinity(self):
+        """The closed form is 0 * inf at x = inf; the survival there is 0, with no warning."""
+        model = ParetoLogWeights(1.5, 2.0)
+        with np.errstate(all="raise"):
+            assert float(model.survival(np.inf)) == 0.0
+            np.testing.assert_array_equal(model.survival([1.0, np.inf, 2.0]), [1.0, 0.0, 1.0])
+
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ParameterError):
             ParetoLogWeights(0.9, 2.0)
