@@ -36,26 +36,21 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, HypothesisError
+from .errors import ConfigError, DomainError, HypothesisError, UnsupportedModelError
 from .graph import conditional_edge_mean, pair_power_sums, sample_graph_fast, sample_graph_naive
 from .seeding import derive_seed
 from .stats import KsResult, ks_one_sample, ks_two_sample, normal_cdf
 from .weights import (
     WeightModel,
     WeightVector,
-    _pdf_at,
-    _quad,
     analytic_moments,
     compute_norming,
     sample_weights,
     tail_params,
-    truncated_first_moment_tail,
-    truncated_second_moment,
 )
 
 __all__ = [
@@ -190,6 +185,8 @@ def _edge_stats_one(args):
 def _map_ordered(fn, args_list, threads: int):
     if threads == 1 or len(args_list) < 2:
         return [fn(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # serial runs need no pool machinery
+
     workers = (os.cpu_count() or 1) if threads == 0 else threads
     chunk = max(1, len(args_list) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -336,20 +333,55 @@ def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> Audi
 
 
 def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, float]:
-    """The two pair-moment vanishing terms, exact to quadrature accuracy:
+    """The two pair-moment vanishing terms, in closed form:
 
         (1/a_n) * E[ W1^2 W2^2 ; W1 W2 <= n ]   and
         (n/a_n) * E[ W1 W2     ; W1 W2 >  n ].
 
-    Each is an integral over W1 of a truncated moment of W2 (closed form
-    for the power-law models) up to W1 = n/xm; past it every W2 >= xm
-    exceeds the cut, which adds EW * E[W; W >= n/xm] to the second.
+    Both models with a power-law tail have Gamma log-weights: log(W/xm)
+    is Exp(alpha) for Pareto and the mixture (alpha-1)/alpha Exp(alpha)
+    + 1/alpha Gamma(2, alpha) for ParetoLog.  So T = log(W1 W2 / xm^2)
+    is a mixture of Gamma(k, alpha) over k = 2 (Pareto) or k = 2, 3, 4
+    (ParetoLog), the cut is T <= c = log(n / xm^2), and per component
+
+        E[e^(2T); T <= c] = alpha^k * int_0^c t^(k-1) e^((2-alpha) t) dt / (k-1)!
+        E[e^T;    T >  c] = (alpha/(alpha-1))^k * Q(k, (alpha-1) c),
+
+    with Q the regularized upper incomplete gamma function, a finite sum
+    for integer k.  Only laws with such a tail and alpha > 1 qualify.
     """
-    xm, pdf = model.support_lower, lambda w: _pdf_at(model, w)
-    small = _quad(lambda w: pdf(w) * w * w * truncated_second_moment(model, n / w), xm, n / xm)
-    large = _quad(lambda w: pdf(w) * w * truncated_first_moment_tail(model, n / w), xm, n / xm)
-    large += analytic_moments(model).ew * truncated_first_moment_tail(model, n / xm)
-    return small / a_n, n * large / a_n
+    tp = tail_params(model)
+    if tp is None or not tp.alpha > 1.0:
+        raise UnsupportedModelError("pair moments need a power-law tail with alpha > 1")
+    a, xm = tp.alpha, model.support_lower
+    if tp.h_kind == "constant":
+        mixture = {2: 1.0}
+    else:
+        p, q = (a - 1.0) / a, 1.0 / a
+        mixture = {2: p * p, 3: 2.0 * p * q, 4: q * q}
+    c = max(math.log(n / (xm * xm)), 0.0)
+    small = sum(w * a**k * _exp_gamma_below(k, 2.0 - a, c) for k, w in mixture.items())
+    large = sum(w * (a / (a - 1.0)) ** k * _gamma_upper(k, (a - 1.0) * c)
+                for k, w in mixture.items())
+    return xm**4 * small / a_n, n * xm**2 * large / a_n
+
+
+def _exp_gamma_below(k: int, b: float, c: float) -> float:
+    """int_0^c t^(k-1) e^(b t) dt / (k-1)! for c >= 0, any sign of b."""
+    x = b * c
+    if abs(x) < 2.0:  # the closed form cancels near x = 0; this series has no cancellation there
+        term, total = 1.0, 0.0
+        for i in range(40):
+            total += term / (k + i)
+            term *= x / (i + 1)
+        return c**k / math.factorial(k - 1) * total
+    poly = sum((-x) ** j / math.factorial(j) for j in range(k))
+    return (-1) ** (k - 1) * (math.exp(x) * poly - 1.0) / b**k
+
+
+def _gamma_upper(k: int, y: float) -> float:
+    """Q(k, y) = e^(-y) sum_{j<k} y^j / j!, the Gamma(k, 1) survival at y."""
+    return math.exp(-y) * sum(y**j / math.factorial(j) for j in range(k))
 
 
 mc_pair_moments = audit_pair_moments  # its former name, still a perfbench per-layer metric

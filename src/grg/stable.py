@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .errors import IntegrationError, ParameterError
 
@@ -93,6 +91,8 @@ def _tail_constant(alpha: float) -> float:
 
 def _cdf_std(z: float, alpha: float, beta: float) -> float:
     """CDF of the standardized law by Gil-Pelaez inversion."""
+    from scipy import integrate  # imported here so that importing grg loads no scipy
+
     if abs(z) >= _TAIL_Z:
         c = _tail_constant(alpha)
         if z > 0:
@@ -162,6 +162,8 @@ def stable_cdf_batch(xs, p: StableParams, exact_limit: int = 400) -> np.ndarray:
         lookup = {float(v): stable_cdf(float(v), p) for v in unique_x}
         vals = np.array([lookup[float(v)] for v in sorted_x])
     else:
+        from scipy.interpolate import PchipInterpolator
+
         zlo, zhi = sorted_x[0], sorted_x[-1]
         u = np.linspace(math.atan(zlo / 4.0), math.atan(zhi / 4.0), 1025)
         nodes = 4.0 * np.tan(u)

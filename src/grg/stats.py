@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DomainError
 
@@ -51,10 +50,13 @@ def empirical_cdf(sample) -> EmpiricalCdf:
     return EmpiricalCdf(np.sort(arr))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def normal_cdf(x):
     """Standard normal CDF via the complementary error function."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / math.sqrt(2.0))
+    out = 0.5 * np.asarray(_erfc(-x / math.sqrt(2.0)), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
     BracketingError,
@@ -198,7 +197,7 @@ class ParetoLogWeights:
     def density(self, w):
         w = np.asarray(w, dtype=float)
         out = np.zeros_like(w)
-        mask = w >= self.xm
+        mask = (w >= self.xm) & (w < np.inf)  # as in survival, 0 * inf at w = inf
         r = w[mask] / self.xm
         out[mask] = (
             r ** (-self.alpha - 1)
@@ -319,8 +318,10 @@ def _pareto_log_inverse_survival(model: ParetoLogWeights, u: np.ndarray) -> np.n
     function, and alpha e^(-alpha) < 1/e keeps the argument off the
     branch point: x = xm exp(-W_{-1}(-alpha u e^(-alpha)) / alpha - 1).
     """
+    from scipy.special import lambertw  # imported here: only ParetoLog draws need scipy
+
     a = model.alpha
-    w = special.lambertw(-a * math.exp(-a) * u, k=-1).real
+    w = lambertw(-a * math.exp(-a) * u, k=-1).real
     return model.xm * np.exp(-w / a - 1.0)
 
 
@@ -367,6 +368,8 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
 
 
 def _quad(fn, lo, hi) -> float:
+    from scipy import integrate  # imported here: only light-tailed truncated moments need it
+
     out = integrate.quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=300, full_output=1)
     if len(out) > 3:
         raise IntegrationError(f"quadrature did not converge: {out[3]}")

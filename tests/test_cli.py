@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -263,6 +266,57 @@ def finished_runs(tmp_path_factory):
         assert main([command, "--config", str(cfg), "--out", str(runs[kind]),
                      "--threads", "1"]) == 0
     return runs
+
+
+# Runs ``grg`` with the given arguments, then prints its exit code and the scipy modules it loaded.
+_LOADED_SCIPY = """
+import json, sys
+from grg.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version leaves through argparse
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+# {runs} is the directory of the finished runs and their configs.
+_SCIPY_FREE_PATHS = {
+    "version": ["--version"],
+    **{f"experiment-{kind}": ["experiment", "--config", f"{{runs}}/{kind}.json", "--out", "{out}",
+                              "--threads", "1"] for kind in ("T1", "T2", "LLN")},
+    "audit": ["audit", "--config", "{runs}/AUDIT.json", "--out", "{out}", "--threads", "1"],
+    **{f"report-{kind}": ["report", "--run", f"{{runs}}/{kind}", "--out", "{out}", "--threads", "1"]
+       for kind in ("T1", "T2", "AUDIT")},
+    "lemma1": ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", "10,1e3"],
+    "sample-pareto": ["sample", "--model", "pareto:alpha=1.5,xm=1", "--n", "1000", "--seed", "3"],
+}
+
+
+def _scipy_modules_loaded(argv: list[str]) -> set[str]:
+    src = str(Path(grg.weights.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(loaded)
+
+
+class TestStartup:
+    """Each command imports only what it computes with; scipy is loaded only where it is used."""
+
+    @pytest.mark.parametrize("path", sorted(_SCIPY_FREE_PATHS))
+    def test_no_scipy(self, finished_runs, tmp_path, path):
+        runs = finished_runs["T1"].parent
+        argv = [arg.format(runs=runs, out=tmp_path / "out") for arg in _SCIPY_FREE_PATHS[path]]
+        assert _scipy_modules_loaded(argv) == set()
+
+    def test_paretolog_draws_load_only_scipy_special(self):
+        loaded = _scipy_modules_loaded(["sample", "--model", "paretolog:alpha=1.5,xm=1",
+                                        "--n", "1000", "--seed", "3"])
+        assert "scipy.special" in loaded
+        assert not any(m.startswith(("scipy.integrate", "scipy.interpolate")) for m in loaded)
 
 
 def report_on_copy(run: Path, name: str, data: bytes | None):

@@ -17,6 +17,7 @@ from grg import (
     LogNormalWeights,
     ParetoLogWeights,
     ParetoWeights,
+    UnsupportedModelError,
     WeightVector,
     analytic_moments,
     compute_norming,
@@ -34,6 +35,7 @@ from grg import (
     stable_limit_statistic,
 )
 from grg.limits import audit_pair_moments
+from grg.weights import _pdf_at, _quad, truncated_first_moment_tail, truncated_second_moment
 
 SIX_MODELS = [
     ConstantWeights(2.0),
@@ -62,6 +64,19 @@ def _dense_audit(weights):
         sum_c += float((prod * ratio).sum()) / l_n
         sum_d += float((ratio * ratio).sum())
     return sum_b, sum_c, sum_d
+
+
+def _quadrature_pair_moments(model, n, a_n):
+    """The pair moments as 1-d quadratures over W1 of closed-form truncated moments of W2.
+
+    Past W1 = n/xm every W2 >= xm exceeds the cut, which adds
+    EW * E[W; W >= n/xm] to the large moment.
+    """
+    xm, pdf = model.support_lower, lambda w: _pdf_at(model, w)
+    small = _quad(lambda w: pdf(w) * w * w * truncated_second_moment(model, n / w), xm, n / xm)
+    large = _quad(lambda w: pdf(w) * w * truncated_first_moment_tail(model, n / w), xm, n / xm)
+    large += analytic_moments(model).ew * truncated_first_moment_tail(model, n / xm)
+    return small / a_n, n * large / a_n
 
 
 def _assert_matches_dense(weights):
@@ -336,6 +351,32 @@ class TestPairMoments:
         ew = analytic_moments(model).ew
         assert small == pytest.approx(below(2.0), rel=1e-8)
         assert large / n == pytest.approx(ew * ew - below(1.0), rel=1e-8)
+
+    @pytest.mark.parametrize("cls", [ParetoWeights, ParetoLogWeights])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.95])
+    @pytest.mark.parametrize("xm", [0.5, 1.0, 2.0])
+    def test_against_quadrature(self, cls, alpha, xm):
+        model = cls(alpha, xm)
+        for n in (10, 1e2, 1e4, 1e6):
+            np.testing.assert_allclose(audit_pair_moments(model, n, 3.0),
+                                       _quadrature_pair_moments(model, n, 3.0), rtol=1e-11)
+
+    @pytest.mark.parametrize("cls", [ParetoWeights, ParetoLogWeights])
+    def test_cut_below_the_support(self, cls):
+        """With n <= xm^2 every pair exceeds the cut: the small moment is 0, the large n (EW)^2."""
+        model = cls(1.5, 2.0)
+        for n in (3.0, 4.0):
+            small, large = audit_pair_moments(model, n, 1.0)
+            assert small == 0.0
+            assert large == pytest.approx(n * analytic_moments(model).ew ** 2, rel=1e-14)
+            np.testing.assert_allclose((small, large), _quadrature_pair_moments(model, n, 1.0),
+                                       rtol=1e-11)
+
+    @pytest.mark.parametrize("model", [ExponentialWeights(1.0), LogNormalWeights(0.0, 1.0),
+                                       GammaWeights(2.0, 1.5), ParetoWeights(0.9, 1.0)])
+    def test_needs_a_power_law_tail(self, model):
+        with pytest.raises(UnsupportedModelError):
+            audit_pair_moments(model, 100, 1.0)
 
 class TestDispatch:
     def test_run_experiment_routes(self):

@@ -51,6 +51,14 @@ class TestNormalCdf:
     def test_symmetry(self, x):
         assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
+    def test_against_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        grid = np.linspace(-40.0, 40.0, 8001)
+        np.testing.assert_allclose(normal_cdf(grid), ndtr(grid), rtol=0, atol=1e-15)
+        assert isinstance(normal_cdf(0.0), float) and normal_cdf(0.0) == 0.5
+        assert isinstance(normal_cdf(np.float64(-1.5)), float)
+
 
 class TestKolmogorovSeries:
     def test_reference_value(self):

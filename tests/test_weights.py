@@ -211,6 +211,13 @@ class TestParetoLog:
             assert float(model.survival(np.inf)) == 0.0
             np.testing.assert_array_equal(model.survival([1.0, np.inf, 2.0]), [1.0, 0.0, 1.0])
 
+    def test_density_at_infinity(self):
+        """As for the survival, the density is 0 at x = inf, with no warning."""
+        model = ParetoLogWeights(1.5, 2.0)
+        with np.errstate(all="raise"):
+            assert float(model.density(np.inf)) == 0.0
+            np.testing.assert_array_equal(model.density([1.0, np.inf, 2.0]), [0.0, 0.0, 0.25])
+
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ParameterError):
             ParetoLogWeights(0.9, 2.0)
