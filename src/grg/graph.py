@@ -194,7 +194,8 @@ def sample_graph_fast(
         i, j = i[hit], j[hit]
         candidates += len(hit)
         edge_count += len(i)
-        degrees += np.bincount(np.concatenate((i, j)), minlength=n)
+        np.add.at(degrees, i, 1)  # O(hits), not O(n), per chunk
+        np.add.at(degrees, j, 1)
         if edges is not None:
             if order is not None:
                 i, j = order[i], order[j]

@@ -58,6 +58,15 @@ _SEED_MASK = (1 << 64) - 1
 # The fast graph sampler numbers the n(n-1)/2 vertex pairs in int64.
 MAX_N = 1 << 32
 
+# ParetoLog draws: Newton stops once twice the error a step leaves is below
+# _NEWTON_TOL (the cap only bounds a stall); 2^27 + 1 splits a double in two.
+# Draws are inverted _NEWTON_BLOCK at a time, so that the dozen temporaries
+# of a step stay in cache (twice as fast at n = 1e6) and peak memory is O(n).
+_NEWTON_TOL = 2.0 ** -55
+_NEWTON_MAX_STEPS = 40
+_NEWTON_BLOCK = 1 << 14
+_DEKKER_SPLIT = 2.0 ** 27 + 1.0
+
 
 @dataclass(frozen=True)
 class ConstantWeights:
@@ -303,26 +312,50 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
         with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
             values = model.xm * (1.0 - rng.random(n)) ** (-1.0 / model.alpha)
     elif isinstance(model, ParetoLogWeights):
-        values = _pareto_log_inverse_survival(model, 1.0 - rng.random(n))
+        values = 1.0 - rng.random(n)
+        for k in range(0, n, _NEWTON_BLOCK):  # in place, block by block
+            values[k : k + _NEWTON_BLOCK] = _pareto_log_inverse_survival(
+                model, values[k : k + _NEWTON_BLOCK]
+            )
     else:
         raise UnsupportedModelError(f"unknown weight model {model!r}")
     return WeightVector.from_values(values)
 
 
 def _pareto_log_inverse_survival(model: ParetoLogWeights, u: np.ndarray) -> np.ndarray:
-    """Solve survival(x) = u for each u in (0, 1] in closed form.
+    """Solve survival(x) = u for each u in (0, 1] by Newton's method.
 
-    With t = 1 + log(x/xm) the equation t e^(-alpha (t - 1)) = u reads
-    (-alpha t) e^(-alpha t) = -alpha u e^(-alpha).  Since t >= 1 and
-    alpha > 1, -alpha t < -1 is the lower branch W_{-1} of the Lambert W
-    function, and alpha e^(-alpha) < 1/e keeps the argument off the
-    branch point: x = xm exp(-W_{-1}(-alpha u e^(-alpha)) / alpha - 1).
+    With s = log(x/xm), g(s) = log1p(s) - alpha s - log u is decreasing
+    and concave, and g(s0) >= 0 at s0 = (log1p(-log u / alpha) - log u) / alpha,
+    so after the first step the iterates fall to the root monotonically.
+    They stop once the error a step leaves, step^2 |g''| / (2 |g'|), is
+    below 2^-56 for every u: four steps at alpha = 1.5, ten at 1.0001.
+    s then carries about one ulp of rounding of alpha s, 1e-13 in
+    survival(x) at u ~ 1e-300.  A last step with alpha s formed exactly
+    (Dekker's two-product), applied as the factor (1 + delta) on e^s,
+    brings survival(x)/u to 1 within about 6e-14, and x(1) = xm exactly.
     """
-    from scipy.special import lambertw  # imported here: only ParetoLog draws need scipy
-
     a = model.alpha
-    w = lambertw(-a * math.exp(-a) * u, k=-1).real
-    return model.xm * np.exp(-w / a - 1.0)
+    log_u = np.log(u)
+    s = (np.log1p(log_u / -a) - log_u) / a
+    for _ in range(_NEWTON_MAX_STEPS):
+        t = 1.0 + s
+        slope = a - 1.0 / t  # -g'(s) > 0
+        step = (np.log1p(s) - a * s - log_u) / slope
+        s += step
+        if np.max(step * step / (slope * t * t)) <= _NEWTON_TOL:
+            break
+    c = _DEKKER_SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _DEKKER_SPLIT * s
+    s_hi = c - (c - s)
+    s_lo = s - s_hi
+    hi = a * s
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo  # a s = hi + lo
+    delta = (((-log_u - hi) - lo) + np.log1p(s)) / (a - 1.0 / (1.0 + s))
+    with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
+        return model.xm * np.exp(s) * (1.0 + delta)
 
 
 def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:

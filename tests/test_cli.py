@@ -22,6 +22,7 @@ from grg.cli import main, parse_model_spec
 from grg import ExponentialWeights, ParameterError, ParetoWeights
 
 PARETO = {"kind": "pareto", "alpha": 1.5, "xm": 1.0}
+PARETOLOG = {"kind": "paretolog", "alpha": 1.5, "xm": 1.0}
 
 
 def write_config(path, **overrides):
@@ -265,6 +266,9 @@ def finished_runs(tmp_path_factory):
         command = "audit" if kind == "AUDIT" else "experiment"
         assert main([command, "--config", str(cfg), "--out", str(runs[kind]),
                      "--threads", "1"]) == 0
+    # run only by the start-up test
+    write_config(root / "T2-paretolog.json", model=PARETOLOG, theorem="T2", n_grid=[60, 150],
+                 replications=100)
     return runs
 
 
@@ -283,12 +287,14 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 _SCIPY_FREE_PATHS = {
     "version": ["--version"],
     **{f"experiment-{kind}": ["experiment", "--config", f"{{runs}}/{kind}.json", "--out", "{out}",
-                              "--threads", "1"] for kind in ("T1", "T2", "LLN")},
+                              "--threads", "1"] for kind in ("T1", "T2", "LLN", "T2-paretolog")},
     "audit": ["audit", "--config", "{runs}/AUDIT.json", "--out", "{out}", "--threads", "1"],
     **{f"report-{kind}": ["report", "--run", f"{{runs}}/{kind}", "--out", "{out}", "--threads", "1"]
        for kind in ("T1", "T2", "AUDIT")},
     "lemma1": ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", "10,1e3"],
     "sample-pareto": ["sample", "--model", "pareto:alpha=1.5,xm=1", "--n", "1000", "--seed", "3"],
+    "sample-paretolog": ["sample", "--model", "paretolog:alpha=1.5,xm=1", "--n", "1000",
+                         "--seed", "3"],
 }
 
 
@@ -311,12 +317,6 @@ class TestStartup:
         runs = finished_runs["T1"].parent
         argv = [arg.format(runs=runs, out=tmp_path / "out") for arg in _SCIPY_FREE_PATHS[path]]
         assert _scipy_modules_loaded(argv) == set()
-
-    def test_paretolog_draws_load_only_scipy_special(self):
-        loaded = _scipy_modules_loaded(["sample", "--model", "paretolog:alpha=1.5,xm=1",
-                                        "--n", "1000", "--seed", "3"])
-        assert "scipy.special" in loaded
-        assert not any(m.startswith(("scipy.integrate", "scipy.interpolate")) for m in loaded)
 
 
 def report_on_copy(run: Path, name: str, data: bytes | None):

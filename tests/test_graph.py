@@ -355,14 +355,19 @@ class TestBucketThinning:
         rare = reps * p[~wide].sum()
         assert abs(hits[~wide].sum() - rare) <= 4.0 * math.sqrt(rare)
 
-    def test_stored_edges_rebuild_degrees(self):
+    def test_stored_edges_rebuild_degrees(self, monkeypatch):
+        """Also with 16 candidates per chunk, so that degrees add up over hundreds of chunks."""
         wv = sample_weights(ParetoWeights(1.5, 1.0), 2000, seed=5)
-        g = sample_graph_fast(wv, 6, store_edges=True)
-        edges = np.array(g.edges)
-        assert len(edges) == g.edge_count > 0
-        assert np.all(edges[:, 0] < edges[:, 1])
-        assert len({tuple(e) for e in edges.tolist()}) == g.edge_count
-        assert np.array_equal(np.bincount(edges.ravel(), minlength=2000), g.degrees)
+        for chunk in (grg.graph._CHUNK, 16):
+            monkeypatch.setattr(grg.graph, "_CHUNK", chunk)
+            g = sample_graph_fast(wv, 6, store_edges=True)
+            edges = np.array(g.edges)
+            assert len(edges) == g.edge_count > 0
+            assert np.all(edges[:, 0] < edges[:, 1])
+            assert len({tuple(e) for e in edges.tolist()}) == g.edge_count
+            assert np.array_equal(np.bincount(edges.ravel(), minlength=2000), g.degrees)
+            assert int(g.degrees.sum()) == 2 * g.edge_count
+        assert g.candidates_examined > 100 * 16
         empty = sample_graph_fast(WeightVector.from_values(np.full(50, 1e-6)), 1, store_edges=True)
         assert empty.edges == [] and empty.edge_count == 0
 

@@ -27,6 +27,27 @@ from grg import (
     truncated_first_moment_tail,
     truncated_second_moment,
 )
+from grg.weights import _pareto_log_inverse_survival
+
+# (alpha, xm) pairs of the ParetoLog inverse-survival tests, from alpha just
+# above 1, where x(u) is badly conditioned near u = 1, to alpha = 100.
+PARETOLOG_GRID = [(alpha, xm) for alpha in (1.0001, 1.001, 1.01, 1.1, 1.5, 1.95, 2.0, 10.0, 100.0)
+                  for xm in (0.5, 1.0, 2.0, 3.0)]
+U_NEAR_ONE = 1.0 - np.geomspace(1e-16, 1e-2, 200)
+
+
+def _lambertw_inverse_survival(model, u):
+    """The closed form that the Newton inverse replaced: x = xm exp(-W_{-1}(z) / alpha - 1).
+
+    With t = 1 + log(x/xm), survival(x) = u reads (-alpha t) e^(-alpha t)
+    = z = -alpha u e^(-alpha), and -alpha t < -1 is the lower branch.
+    """
+    from scipy.special import lambertw
+
+    a = model.alpha
+    with np.errstate(all="ignore"):  # at alpha = 100, z is subnormal or 0 below u = 6e-267
+        w = lambertw(-a * math.exp(-a) * u, k=-1).real
+        return model.xm * np.exp(-w / a - 1.0)
 
 
 class TestSampling:
@@ -233,14 +254,45 @@ class TestParetoLog:
 
     def test_inverse_survival_round_trip(self):
         """survival(x(u)) = u to 1e-13 relative, from u = 1 (x = xm) down to u = 1e-300."""
-        from grg.weights import _pareto_log_inverse_survival
-
-        model = ParetoLogWeights(1.5, 2.0)
-        u = np.concatenate([[1.0, 1e-300], np.geomspace(1e-300, 1.0, 601),
+        u = np.concatenate([[1.0, 1e-300], np.geomspace(1e-300, 1.0, 601), U_NEAR_ONE,
                             1.0 - np.random.default_rng(4).random(1000)])
-        x = _pareto_log_inverse_survival(model, u)
-        assert x[0] == pytest.approx(2.0, rel=1e-15)
-        np.testing.assert_allclose(model.survival(x), u, rtol=1e-13, atol=0)
+        for alpha, xm in PARETOLOG_GRID:
+            model = ParetoLogWeights(alpha, xm)
+            x = _pareto_log_inverse_survival(model, u)
+            assert x[0] == pytest.approx(xm, rel=1e-15)
+            np.testing.assert_allclose(model.survival(x), u, rtol=1e-13, atol=0,
+                                       err_msg=f"alpha={alpha}, xm={xm}")
+
+    def test_inverse_survival_against_lambertw(self):
+        """The Newton inverse matches the Lambert W closed form to 3e-13 relative.
+
+        The closed form's argument carries about two roundings, which
+        W_{-1} magnifies by 1/|1 + W| = t/(alpha t - 1) in x, t = 1 + log(x/xm):
+        1e4 near u = 1 at alpha = 1.0001, at most 2 from alpha = 1.5 on.
+        That is added to the bound.  The oracle itself fails where it
+        leaves the support (near u = 1 at alpha = 1.0001 lambertw returns
+        W = -1, x = 0.9999 xm) or where its argument is subnormal (at
+        alpha = 100, u < 6e-267), so those points are skipped.
+        """
+        u = np.concatenate([np.geomspace(1e-300, 1.0, 601), U_NEAR_ONE])
+        for alpha, xm in PARETOLOG_GRID:
+            model = ParetoLogWeights(alpha, xm)
+            x = _pareto_log_inverse_survival(model, u)
+            ref = _lambertw_inverse_survival(model, u)
+            z = alpha * math.exp(-alpha) * u
+            kept = (ref >= xm) & (z >= np.finfo(float).tiny)
+            assert kept.mean() > 0.9, (alpha, xm)
+            t = 1.0 + np.log(x[kept] / xm)
+            bound = 3e-13 + 4.0 * np.finfo(float).eps * t / (alpha * t - 1.0)
+            err = np.abs(x[kept] / ref[kept] - 1.0)
+            assert np.all(err <= bound), (alpha, xm, err.max())
+
+    def test_draws_stay_on_the_support(self):
+        """x(1) = xm exactly and x >= xm as u -> 1, where lambertw gave 0.4999999999999995 for xm = 0.5."""
+        for alpha, xm in PARETOLOG_GRID:
+            model = ParetoLogWeights(alpha, xm)
+            assert _pareto_log_inverse_survival(model, np.array([1.0]))[0] == xm
+            assert np.all(_pareto_log_inverse_survival(model, U_NEAR_ONE) >= xm), (alpha, xm)
 
     def test_tail_params_logarithmic(self):
         tp = tail_params(ParetoLogWeights(1.5, 2.0))
