@@ -8,86 +8,46 @@ normal fluctuations under a finite second moment, stable fluctuations
 under regularly varying tails with index in (1, 2), the law of large
 numbers for edges per vertex, and the vanishing bound terms behind the
 characteristic-function proofs of those limits.
+
+The public names below load their module on first use (PEP 562), so a
+command imports only the modules it runs.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BracketingError,
-    ConfigError,
-    DomainError,
-    GrgError,
-    HypothesisError,
-    IntegrationError,
-    ParameterError,
-    SizeError,
-    UnsupportedModelError,
-)
-from .seeding import derive_seed, splitmix64
-from .weights import (
-    ConstantWeights,
-    ExponentialWeights,
-    GammaWeights,
-    LemmaRatios,
-    LogNormalWeights,
-    Moments,
-    ParetoLogWeights,
-    ParetoWeights,
-    TailParams,
-    WeightModel,
-    WeightVector,
-    analytic_moments,
-    compute_norming,
-    lemma1_ratio_check,
-    model_from_config,
-    model_to_config,
-    sample_weights,
-    tail_params,
-    truncated_first_moment_tail,
-    truncated_second_moment,
-)
-from .graph import (
-    EdgeCountPmf,
-    GraphSample,
-    NAIVE_MAX_N,
-    conditional_edge_mean,
-    edge_probability,
-    exact_edge_count_pmf,
-    pair_power_sums,
-    sample_graph_fast,
-    sample_graph_naive,
-    write_edge_list,
-)
-from .stable import (
-    StableParams,
-    sample_stable,
-    stable_cdf,
-    stable_cdf_batch,
-    stable_char_fn,
-)
-from .stats import (
-    EmpiricalCdf,
-    KsResult,
-    empirical_cdf,
-    kolmogorov_sf,
-    ks_one_sample,
-    ks_two_sample,
-    normal_cdf,
-)
-from .limits import (
-    AuditResult,
-    AuditTerms,
-    ExperimentConfig,
-    LimitResult,
-    LlnResult,
-    NormalizedSample,
-    normal_limit_statistic,
-    proof_audit,
-    run_experiment,
-    run_gaussian_limit,
-    run_lln,
-    run_proof_audit,
-    run_stable_limit,
-    stable_limit_statistic,
-)
-from .report import RunManifest, config_from_dict, config_to_dict, emit_report, read_run
+_EXPORTS = {
+    "errors": "BracketingError ConfigError DomainError GrgError HypothesisError "
+              "IntegrationError ParameterError SizeError UnsupportedModelError",
+    "seeding": "derive_seed splitmix64",
+    "weights": "ConstantWeights ExponentialWeights GammaWeights LemmaRatios LogNormalWeights "
+               "Moments ParetoLogWeights ParetoWeights TailParams WeightModel WeightVector "
+               "analytic_moments compute_norming lemma1_ratio_check model_from_config "
+               "model_to_config sample_weights tail_params truncated_first_moment_tail "
+               "truncated_second_moment",
+    "graph": "EdgeCountPmf GraphSample NAIVE_MAX_N conditional_edge_mean edge_probability "
+             "exact_edge_count_pmf pair_power_sums sample_graph_fast sample_graph_naive "
+             "write_edge_list",
+    "stable": "StableParams sample_stable stable_cdf stable_cdf_batch stable_char_fn",
+    "stats": "EmpiricalCdf KsResult empirical_cdf kolmogorov_sf ks_one_sample ks_two_sample "
+             "normal_cdf",
+    "limits": "AuditResult AuditTerms ExperimentConfig LimitResult LlnResult NormalizedSample "
+              "normal_limit_statistic proof_audit run_experiment run_gaussian_limit run_lln "
+              "run_proof_audit run_stable_limit stable_limit_statistic",
+    "report": "RunManifest config_from_dict config_to_dict emit_report read_run",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -34,8 +34,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graph import sample_graph_fast, sample_graph_naive, write_edge_list
-from .limits import ExperimentConfig, run_experiment
-from .report import config_from_dict, emit_report, read_json, read_run
 from .weights import (
     lemma1_ratio_check,
     model_from_config,
@@ -85,7 +83,10 @@ def parse_model_spec(spec: str):
     return model_from_config(params)
 
 
-def _load_config(path: str, args) -> ExperimentConfig:
+def _load_config(path: str, args):
+    from .limits import ExperimentConfig
+    from .report import config_from_dict, read_json
+
     config = config_from_dict(read_json(path, "config"))
     seed = _resolve_seed(args, config.master_seed)
     overrides = {}
@@ -143,6 +144,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_run(args) -> int:
     """``grg experiment`` and ``grg audit``: simulate, derive, write the report."""
+    from .limits import run_experiment
+    from .report import emit_report
+
     config = _load_config(args.config, args)
     if args.command == "experiment" and config.theorem == "AUDIT":
         raise ConfigError("use 'grg audit' for audit configs")
@@ -189,6 +193,8 @@ def _cmd_lemma1(args) -> int:
 
 def _cmd_report(args) -> int:
     """Re-render a finished run from its own table; no graph is sampled."""
+    from .report import emit_report, read_run
+
     out = args.out or args.run
     emit_report(read_run(args.run, threads=args.threads), out)
     sys.stdout.write(f"report regenerated in {out}\n")

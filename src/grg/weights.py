@@ -67,6 +67,15 @@ _NEWTON_MAX_STEPS = 40
 _NEWTON_BLOCK = 1 << 14
 _DEKKER_SPLIT = 2.0 ** 27 + 1.0
 
+# Exact totals: _SUM_BLOCK values at a time, each split into hi, its leading
+# 27 bits (_HI_MASK on its int64 view), and lo = x - hi, which is exact.  The
+# hi parts of one binade lie on one grid, as do the lo parts, so a sum of at
+# most 2^16 of them is exact; math.fsum of these partial sums rounds the
+# total once.  Up to _FSUM_MAX_N values math.fsum of the values is faster.
+_SUM_BLOCK = 1 << 16
+_HI_MASK = np.int64(-(1 << 26))
+_FSUM_MAX_N = 128
+
 
 @dataclass(frozen=True)
 class ConstantWeights:
@@ -250,8 +259,9 @@ class WeightVector:
     """A realized weight sample with exactly-summed totals.
 
     ``sum_l`` is the total weight and ``sum_sq`` the total of squares,
-    both accumulated with exact compensated summation (math.fsum), so
-    the relative error is one rounding at any sample size.
+    both correctly rounded from exact per-binade sums (see ``_exact_sum``):
+    they equal ``math.fsum`` of the values and of their squares bit for
+    bit, so the relative error is one rounding at any sample size.
     """
 
     values: np.ndarray
@@ -266,9 +276,9 @@ class WeightVector:
         if not np.all(arr > 0):
             raise ParameterError("all weights must be strictly positive")
         # positive weights are all finite exactly when both totals are
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
-                sum_l, sum_sq = math.fsum(arr), math.fsum(arr * arr)
+                sum_l, sum_sq = _exact_sum(arr), _exact_sum(arr * arr)
             except OverflowError:
                 sum_l = sum_sq = math.inf
         if not (math.isfinite(sum_l) and math.isfinite(sum_sq)):
@@ -278,6 +288,25 @@ class WeightVector:
     @property
     def n(self) -> int:
         return int(self.values.shape[0])
+
+
+def _exact_sum(arr: np.ndarray) -> float:
+    """math.fsum(arr) for nonnegative arr, from per-binade sums of the hi/lo split.
+
+    Not finite for an infinite value (its lo is inf - inf, a NaN), and inf
+    or OverflowError for a total that overflows, as with math.fsum.
+    """
+    if len(arr) <= _FSUM_MAX_N:
+        return math.fsum(arr)
+    partials = []
+    for k in range(0, len(arr), _SUM_BLOCK):
+        x = arr[k : k + _SUM_BLOCK]
+        bits = x.view(np.int64)
+        binade = bits >> 52  # subnormals (binade 0) lie on the grid of binade 1
+        binade -= binade.min()
+        hi = (bits & _HI_MASK).view(np.float64)
+        partials += np.bincount(binade, hi).tolist() + np.bincount(binade, x - hi).tolist()
+    return math.fsum(partials)
 
 
 class Moments(NamedTuple):

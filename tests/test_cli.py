@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grg
 import grg.graph
 import grg.limits
 import grg.weights
@@ -272,15 +273,15 @@ def finished_runs(tmp_path_factory):
     return runs
 
 
-# Runs ``grg`` with the given arguments, then prints its exit code and the scipy modules it loaded.
-_LOADED_SCIPY = """
+# Runs ``grg`` with the given arguments, then prints its exit code and the modules it loaded.
+_LOADED_MODULES = """
 import json, sys
 from grg.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version leaves through argparse
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 # {runs} is the directory of the finished runs and their configs.
@@ -298,15 +299,38 @@ _SCIPY_FREE_PATHS = {
 }
 
 
-def _scipy_modules_loaded(argv: list[str]) -> set[str]:
+# The names that grg/__init__ imported eagerly before its names became lazy.
+_PACKAGE_NAMES = (
+    "BracketingError ConfigError DomainError GrgError HypothesisError IntegrationError "
+    "ParameterError SizeError UnsupportedModelError derive_seed splitmix64 ConstantWeights "
+    "ExponentialWeights GammaWeights LemmaRatios LogNormalWeights Moments ParetoLogWeights "
+    "ParetoWeights TailParams WeightModel WeightVector analytic_moments compute_norming "
+    "lemma1_ratio_check model_from_config model_to_config sample_weights tail_params "
+    "truncated_first_moment_tail truncated_second_moment EdgeCountPmf GraphSample NAIVE_MAX_N "
+    "conditional_edge_mean edge_probability exact_edge_count_pmf pair_power_sums "
+    "sample_graph_fast sample_graph_naive write_edge_list StableParams sample_stable stable_cdf "
+    "stable_cdf_batch stable_char_fn EmpiricalCdf KsResult empirical_cdf kolmogorov_sf "
+    "ks_one_sample ks_two_sample normal_cdf AuditResult AuditTerms ExperimentConfig LimitResult "
+    "LlnResult NormalizedSample normal_limit_statistic proof_audit run_experiment "
+    "run_gaussian_limit run_lln run_proof_audit run_stable_limit stable_limit_statistic "
+    "RunManifest config_from_dict config_to_dict emit_report read_run"
+).split()
+
+
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
     src = str(Path(grg.weights.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _modules_loaded(argv: list[str], package: str) -> set[str]:
+    """The modules of ``package`` that one ``grg`` command loads, in a fresh process."""
+    proc = _run_python(["-c", _LOADED_MODULES, *argv])
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    return set(loaded)
+    return {m for m in loaded if m.split(".")[0] == package}
 
 
 class TestStartup:
@@ -316,7 +340,25 @@ class TestStartup:
     def test_no_scipy(self, finished_runs, tmp_path, path):
         runs = finished_runs["T1"].parent
         argv = [arg.format(runs=runs, out=tmp_path / "out") for arg in _SCIPY_FREE_PATHS[path]]
-        assert _scipy_modules_loaded(argv) == set()
+        assert _modules_loaded(argv, "scipy") == set()
+
+    @pytest.mark.parametrize("path", ["version", "sample-pareto"])
+    def test_sample_loads_no_experiment_modules(self, path):
+        """``--version`` and ``sample`` load neither the experiment nor the report layer."""
+        loaded = _modules_loaded(_SCIPY_FREE_PATHS[path], "grg")
+        assert "grg.weights" in loaded
+        assert loaded.isdisjoint({"grg.limits", "grg.report", "grg.stats", "grg.stable"}), loaded
+
+    def test_package_names_resolve(self):
+        """Every name grg imported eagerly still imports from ``grg``, also in a fresh process."""
+        assert sorted(grg.__all__) == sorted(_PACKAGE_NAMES)
+        proc = _run_python(["-c", f"from grg import {', '.join(_PACKAGE_NAMES)}"])
+        assert proc.returncode == 0, proc.stderr
+        for name in _PACKAGE_NAMES:  # the very object its module defines
+            value = getattr(grg, name)
+            assert getattr(sys.modules[f"grg.{grg._MODULE_OF[name]}"], name) is value, name
+        with pytest.raises(AttributeError):
+            grg.no_such_name  # noqa: B018
 
 
 def report_on_copy(run: Path, name: str, data: bytes | None):

@@ -312,6 +312,28 @@ def pair_probabilities(weights):
     return prod / (weights.sum_l + prod)
 
 
+def assert_pair_frequencies(weights, reps=5000):
+    """Each pair's edge frequency over ``reps`` fast graphs matches p_ij.
+
+    Pairs with reps p(1-p) >= 5 must have a mean squared z-score within
+    0.25 of 1; the others are pooled, within 4 standard deviations.
+    """
+    p = pair_probabilities(weights)
+    counts = np.zeros((weights.n, weights.n))
+    for s in range(reps):
+        i, j = np.array(sample_graph_fast(weights, s, store_edges=True).edges).reshape(-1, 2).T
+        counts[i, j] += 1
+    hits = counts[np.triu_indices(weights.n, 1)]
+    spread = reps * p * (1.0 - p)
+    z2 = (hits - reps * p) ** 2 / np.maximum(spread, 1e-300)
+    wide = spread >= 5.0
+    assert wide.sum() > 100
+    assert abs(z2[wide].mean() - 1.0) <= 0.25, z2[wide].mean()
+    # the rare pairs pooled
+    rare = reps * p[~wide].sum()
+    assert abs(hits[~wide].sum() - rare) <= 4.0 * math.sqrt(rare)
+
+
 class TestBucketThinning:
     """The fast sampler on weights that span many buckets, against the exact law."""
 
@@ -339,21 +361,51 @@ class TestBucketThinning:
         rng = np.random.default_rng(3)
         wv = WeightVector.from_values(np.concatenate([[400.0, 250.0, 90.0],
                                                       rng.pareto(1.2, 37) + 0.05]))
-        p = pair_probabilities(wv)
-        reps = 5000
-        counts = np.zeros((wv.n, wv.n))
-        for s in range(reps):
-            i, j = np.array(sample_graph_fast(wv, s, store_edges=True).edges).reshape(-1, 2).T
-            counts[i, j] += 1
-        hits = counts[np.triu_indices(wv.n, 1)]
-        spread = reps * p * (1.0 - p)
-        z2 = (hits - reps * p) ** 2 / np.maximum(spread, 1e-300)
-        wide = spread >= 5.0
-        assert wide.sum() > 100
-        assert abs(z2[wide].mean() - 1.0) <= 0.25, z2[wide].mean()
-        # the rare pairs pooled
-        rare = reps * p[~wide].sum()
-        assert abs(hits[~wide].sum() - rare) <= 4.0 * math.sqrt(rare)
+        assert_pair_frequencies(wv)
+
+    def test_pair_frequencies_with_mixed_chunks(self, monkeypatch):
+        """Pair frequencies match p_ij when chunks differ in what they hold.
+
+        Three huge weights put blocks at envelope 1, enumerated pair by
+        pair.  With 32 candidates per chunk, some chunks hold enumerated
+        segments, some triangle blocks (both ends in one bucket), some
+        both and some neither, so each path of the chunk loop is taken.
+        """
+        monkeypatch.setattr(grg.graph, "_CHUNK", 32)
+        rng = np.random.default_rng(3)
+        wv = WeightVector.from_values(np.concatenate([[1e4, 5e3, 2e3], rng.pareto(1.5, 60) + 0.05]))
+        v = np.sort(wv.values)[::-1]
+        ends = wv.n - np.searchsorted(v[::-1], v[0] * grg.graph._LEVELS, side="right")
+        bucket = np.searchsorted(ends, np.arange(wv.n), side="right")  # of each sorted index
+        kinds = set()
+        candidates = grg.graph._bucket_candidates
+
+        def recorded(*args):
+            for i, j, q in candidates(*args):
+                kinds.add((bool((q == 1.0).any()), bool((bucket[i] == bucket[j]).any())))
+                yield i, j, q
+
+        monkeypatch.setattr(grg.graph, "_bucket_candidates", recorded)
+        assert_pair_frequencies(wv)
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("chunk", [16, 1 << 17])
+    def test_enumerated_blocks_hold_every_pair_once(self, chunk, monkeypatch):
+        """With y >= 1 for every pair, each pair is one candidate and p > 0.9.
+
+        Log-uniform weights on [1e4, 1e5] fill 13 quarter binades, so the
+        triangles of buckets of several vertices map every position.
+        """
+        monkeypatch.setattr(grg.graph, "_CHUNK", chunk)
+        wv = WeightVector.from_values(np.geomspace(1e4, 1e5, 60))
+        assert wv.values.min() ** 2 >= wv.sum_l
+        seen = np.zeros((60, 60), dtype=bool)
+        for seed in range(40):
+            g = sample_graph_fast(wv, seed, store_edges=True)
+            assert g.candidates_examined == 60 * 59 // 2
+            assert len(set(g.edges)) == g.edge_count
+            seen[tuple(np.array(g.edges).T)] = True
+        assert seen[np.triu_indices(60, 1)].all()
 
     def test_stored_edges_rebuild_degrees(self, monkeypatch):
         """Also with 16 candidates per chunk, so that degrees add up over hundreds of chunks."""

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import grg.weights
 from grg import (
     BracketingError,
     ConstantWeights,
@@ -34,6 +37,14 @@ from grg.weights import _pareto_log_inverse_survival
 PARETOLOG_GRID = [(alpha, xm) for alpha in (1.0001, 1.001, 1.01, 1.1, 1.5, 1.95, 2.0, 10.0, 100.0)
                   for xm in (0.5, 1.0, 2.0, 3.0)]
 U_NEAR_ONE = 1.0 - np.geomspace(1e-16, 1e-2, 200)
+
+ALL_MODELS = [ConstantWeights(2.0), ExponentialWeights(1.0), LogNormalWeights(0.0, 1.5),
+              GammaWeights(0.5, 2.0), ParetoWeights(1.5, 1.0), ParetoLogWeights(1.5, 1.0)]
+
+# Positive finite doubles from the subnormals up to 1e300, whose squares overflow.
+POSITIVE_DOUBLES = st.floats(min_value=5e-324, max_value=1e300)
+# One value in each of 1000 binades, 2^-500 to 2^499.
+MANY_BINADES = ((np.random.default_rng(1).random(1000) + 1.0) * 2.0 ** np.arange(-500, 500)).tolist()
 
 
 def _lambertw_inverse_survival(model, u):
@@ -82,9 +93,46 @@ class TestSampling:
             sample_weights(ExponentialWeights(1.0), 1, seed=0)
 
     def test_sums_are_exact(self):
-        wv = sample_weights(ParetoWeights(1.5, 1.0), 10**5, seed=3)
-        assert abs(wv.sum_l - math.fsum(wv.values)) == 0.0
-        assert wv.sum_sq >= wv.sum_l**2 / wv.n  # Cauchy-Schwarz
+        for model in ALL_MODELS:
+            wv = sample_weights(model, 10**5, seed=3)
+            assert wv.sum_l == math.fsum(wv.values), model
+            assert wv.sum_sq == math.fsum(wv.values * wv.values), model
+            if not isinstance(model, ConstantWeights):  # equality there, up to rounding
+                assert wv.sum_sq >= wv.sum_l**2 / wv.n  # Cauchy-Schwarz
+
+    @pytest.mark.parametrize("block", [None, 1, 7], ids=["default-block", "block-1", "block-7"])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(values=st.lists(POSITIVE_DOUBLES, min_size=1, max_size=300))
+    @example(values=[1.0])
+    @example(values=[5e-324])
+    @example(values=[1.0 + 2.0**-52] * 3000)
+    @example(values=[2.0**-1074 * k for k in range(1, 400)] + [2.0**-1022, 1.5])
+    @example(values=MANY_BINADES)
+    @example(values=MANY_BINADES[::9] * 7)
+    def test_totals_equal_fsum(self, block, values):
+        """sum_l and sum_sq are math.fsum of the values and of their squares, bit for bit.
+
+        Arrays whose square total overflows are refused instead.  Blocks
+        of 1 and 7 values, with the math.fsum shortcut for short arrays
+        off, put block boundaries inside every array.
+        """
+        arr = np.array(values)
+        with np.errstate(over="ignore"):
+            squares = arr * arr
+        try:
+            totals = math.fsum(arr), math.fsum(squares)
+        except OverflowError:
+            totals = (math.inf, math.inf)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(grg.weights, "_SUM_BLOCK", block)
+                patch.setattr(grg.weights, "_FSUM_MAX_N", 0)
+            if not all(map(math.isfinite, totals)):
+                with pytest.raises(ParameterError):
+                    WeightVector.from_values(arr)
+                return
+            wv = WeightVector.from_values(arr)
+        assert (wv.sum_l, wv.sum_sq) == totals
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ParameterError):
@@ -102,6 +150,15 @@ class TestSampling:
     def test_rejects_nonfinite_values_and_totals(self, values):
         with pytest.raises(ParameterError):
             WeightVector.from_values(values)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("values", [[1.0, 2.0, math.inf], [1e200, 1.0], [1e308, 1e308]])
+    def test_binade_sums_reject_nonfinite_totals(self, values, block, monkeypatch):
+        """The same refusals with the values split over blocks of one and seven."""
+        monkeypatch.setattr(grg.weights, "_SUM_BLOCK", block)
+        monkeypatch.setattr(grg.weights, "_FSUM_MAX_N", 0)
+        with pytest.raises(ParameterError):
+            WeightVector.from_values(values * 50)
 
     def test_overflowing_pareto_draw_is_rejected(self):
         """alpha=0.01 overflows some draws to inf instead of giving L = inf."""
