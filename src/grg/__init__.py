@@ -47,7 +47,3 @@ def __getattr__(name):
     value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

@@ -246,7 +246,7 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
     start = (np.arange(len(block)) - np.repeat(np.cumsum(nseg) - nseg, nseg)) * seg_len[block]
     length = np.maximum(np.minimum(seg_len[block], pairs[block] - start), 0)
     start += base[block]
-    seg_dense, seg_diag = dense[block], diag[block]
+    seg_dense = dense[block]
     count = np.where(seg_dense, length, rng.poisson(length * mu[block]))
     slot = np.cumsum(count) - count
 
@@ -257,21 +257,20 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
         if len(seg) == 0:
             continue
         offset = rng.integers(length[seg])  # drawn for enumerated segments too
-        if seg_dense[s0:s1].any():
-            dense_slot = seg_dense[seg]
-            offset[dense_slot] = (np.arange(len(seg)) + slot[s0] - slot[seg])[dense_slot]
+        dense_slot = seg_dense[seg]
+        offset[dense_slot] = (np.arange(len(seg)) + slot[s0] - slot[seg])[dense_slot]
         # segments hold disjoint increasing key ranges, so the sort keeps
         # every key beside its segment
         key = np.sort(start[seg] + offset)
         new = np.concatenate(([True], key[1:] != key[:-1]))
         k = block[seg[new]]
-        w = width[k]
-        r, c = np.divmod(key[new] - base[k], w)  # rectangle: row r, column c
-        if seg_diag[s0:s1].any():
-            # triangle: the pair (c, c + r + 1 mod w), where c + r + 1 < 2w
-            tri = diag[k]
-            r, c = np.where(tri, c, r), np.where(tri, c + r + 1, c)
-            c -= w * (c >= w)  # a rectangle's columns are below w already
+        w, tri = width[k], diag[k]
+        # rectangle: row r, column c; triangle: the pair (c, c + r + 1 mod w),
+        # where c + r + 1 < 2w, and a rectangle's columns are below w already
+        r, c = np.divmod(key[new] - base[k], w)
+        r, c = np.where(tri, c, r), np.where(tri, c + r + 1, c)
+        c -= w * (c >= w)
+        del w, tri  # not held while the caller thins the chunk
         yield row0[k] + r, col0[k] + c, q[k]
 
 

@@ -71,10 +71,9 @@ _DEKKER_SPLIT = 2.0 ** 27 + 1.0
 # 27 bits (_HI_MASK on its int64 view), and lo = x - hi, which is exact.  The
 # hi parts of one binade lie on one grid, as do the lo parts, so a sum of at
 # most 2^16 of them is exact; math.fsum of these partial sums rounds the
-# total once.  Up to _FSUM_MAX_N values math.fsum of the values is faster.
+# total once.
 _SUM_BLOCK = 1 << 16
 _HI_MASK = np.int64(-(1 << 26))
-_FSUM_MAX_N = 128
 
 
 @dataclass(frozen=True)
@@ -296,8 +295,6 @@ def _exact_sum(arr: np.ndarray) -> float:
     Not finite for an infinite value (its lo is inf - inf, a NaN), and inf
     or OverflowError for a total that overflows, as with math.fsum.
     """
-    if len(arr) <= _FSUM_MAX_N:
-        return math.fsum(arr)
     partials = []
     for k in range(0, len(arr), _SUM_BLOCK):
         x = arr[k : k + _SUM_BLOCK]

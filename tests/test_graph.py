@@ -369,7 +369,8 @@ class TestBucketThinning:
         Three huge weights put blocks at envelope 1, enumerated pair by
         pair.  With 32 candidates per chunk, some chunks hold enumerated
         segments, some triangle blocks (both ends in one bucket), some
-        both and some neither, so each path of the chunk loop is taken.
+        both and some neither, so the chunk loop's dense-slot offsets and
+        triangle map each meet chunks with and without their blocks.
         """
         monkeypatch.setattr(grg.graph, "_CHUNK", 32)
         rng = np.random.default_rng(3)

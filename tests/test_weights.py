@@ -113,8 +113,7 @@ class TestSampling:
         """sum_l and sum_sq are math.fsum of the values and of their squares, bit for bit.
 
         Arrays whose square total overflows are refused instead.  Blocks
-        of 1 and 7 values, with the math.fsum shortcut for short arrays
-        off, put block boundaries inside every array.
+        of 1 and 7 values put block boundaries inside every array.
         """
         arr = np.array(values)
         with np.errstate(over="ignore"):
@@ -126,7 +125,6 @@ class TestSampling:
         with pytest.MonkeyPatch.context() as patch:
             if block is not None:
                 patch.setattr(grg.weights, "_SUM_BLOCK", block)
-                patch.setattr(grg.weights, "_FSUM_MAX_N", 0)
             if not all(map(math.isfinite, totals)):
                 with pytest.raises(ParameterError):
                     WeightVector.from_values(arr)
@@ -156,7 +154,6 @@ class TestSampling:
     def test_binade_sums_reject_nonfinite_totals(self, values, block, monkeypatch):
         """The same refusals with the values split over blocks of one and seven."""
         monkeypatch.setattr(grg.weights, "_SUM_BLOCK", block)
-        monkeypatch.setattr(grg.weights, "_FSUM_MAX_N", 0)
         with pytest.raises(ParameterError):
             WeightVector.from_values(values * 50)
 
