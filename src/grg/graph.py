@@ -70,9 +70,10 @@ _SERIES_SIGNS = (-1.0) ** np.arange(_SERIES_TERMS)
 # Pairs above the series cut are evaluated exactly, this many at a time.
 _PAIR_BLOCK = 1 << 22
 
-# The fast sampler draws and thins at most about this many candidate
-# pairs per numpy pass, which bounds its memory.
-_CHUNK = 1 << 17
+# The fast sampler draws and thins about this many candidate pairs per numpy
+# pass, whole segments of at most _CHUNK/2 expected draws each, so a pass can
+# hold up to about 1.5 times as many; a pass needs about 5 MB at 2^16.
+_CHUNK = 1 << 16
 
 # Weight buckets are quarter binades of w/w_max: these are their lower
 # edges, over 64 binades; the last bucket is open-ended.
@@ -168,40 +169,43 @@ def sample_graph_fast(
     Every pair is a candidate independently with probability q, the
     envelope of its block, and a candidate is an edge with probability
     p/q (see the module docstring).  Candidates are drawn and thinned
-    at most about ``_CHUNK`` at a time, so memory stays O(n + _CHUNK);
-    ``candidates_examined`` counts them.
+    about ``_CHUNK`` at a time; ``candidates_examined`` counts them.
+    Besides the 8 bytes per vertex of the weights, the sampler holds their
+    sorted copy and the int32 vertex order and degree tally, 16 bytes per
+    vertex, and a candidate pass: by tracemalloc, a peak of 25.3 bytes per
+    vertex with the weights at n = 4e6 (ParetoLog(1.5)), 29.0 at n = 1e6.
     """
     n = weights.n
     if n < 2:
         raise ParameterError(f"need at least 2 vertices, got n={n}")
     l_n = weights.sum_l
     rng = np.random.default_rng(seed & _SEED_MASK)
-    if n <= _ALL_PAIRS_MAX_N:
-        order = None
-        v = weights.values
-        m = n * (n - 1) // 2
-        chunks = [(_COLEX_I[:m], _COLEX_J[:m], 1.0)]
-    else:
-        order = np.argsort(-weights.values)
-        v = weights.values[order]
-        chunks = _bucket_candidates(v, l_n, rng)
-    degrees = np.zeros(n, dtype=np.int64)
+    itype = np.int32 if n < 1 << 31 else np.int64  # of the vertex order and degree tally
+    small, m = n <= _ALL_PAIRS_MAX_N, n * (n - 1) // 2
+    order = np.arange(n, dtype=itype) if small else np.argsort(-weights.values).astype(itype)
+    v = weights.values[order]
+    chunks = [(_COLEX_I[:m], _COLEX_J[:m], 1.0)] if small else _bucket_candidates(v, l_n, rng)
+    tally = np.zeros(n, dtype=itype)
     edges: list[tuple[int, int]] | None = [] if store_edges else None
     candidates = edge_count = 0
     for i, j, q in chunks:
-        prod = v[i] * v[j]
-        hit = rng.random(len(i)) * q < prod / (l_n + prod)
+        p = v[i]
+        p *= v[j]
+        p /= p + l_n
+        hit = rng.random(len(i)) * q < p
         i, j = i[hit], j[hit]
         candidates += len(hit)
         edge_count += len(i)
-        np.add.at(degrees, i, 1)  # O(hits), not O(n), per chunk
-        np.add.at(degrees, j, 1)
+        # O(hits), not O(n), per chunk; adding a Python 1 to int32 is 30 times slower
+        np.add.at(tally, i, itype(1))
+        np.add.at(tally, j, itype(1))
         if edges is not None:
-            if order is not None:
-                i, j = order[i], order[j]
+            i, j = order[i], order[j]
             edges.extend(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
-    if order is not None:
-        degrees[order] = degrees.copy()
+        del p, q, i, j, hit  # not held while the next chunk is drawn
+    del v
+    degrees = np.empty(n, dtype=np.int64)
+    degrees[order] = tally
     return GraphSample(
         n=n,
         edge_count=edge_count,
@@ -256,22 +260,28 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
         seg = np.repeat(np.arange(s0, s1), count[s0:s1])
         if len(seg) == 0:
             continue
-        offset = rng.integers(length[seg])  # drawn for enumerated segments too
-        dense_slot = seg_dense[seg]
-        offset[dense_slot] = (np.arange(len(seg)) + slot[s0] - slot[seg])[dense_slot]
+        key = rng.integers(length[seg])  # drawn for enumerated segments too
+        d = np.flatnonzero(seg_dense[seg])  # an enumerated segment's keys are its slots
+        key[d] = d + slot[s0] - slot[seg[d]]
+        key += start[seg]
         # segments hold disjoint increasing key ranges, so the sort keeps
         # every key beside its segment
-        key = np.sort(start[seg] + offset)
+        key.sort()
         new = np.concatenate(([True], key[1:] != key[:-1]))
         k = block[seg[new]]
+        del seg
+        key = key[new] - base[k]
         w, tri = width[k], diag[k]
-        # rectangle: row r, column c; triangle: the pair (c, c + r + 1 mod w),
-        # where c + r + 1 < 2w, and a rectangle's columns are below w already
-        r, c = np.divmod(key[new] - base[k], w)
-        r, c = np.where(tri, c, r), np.where(tri, c + r + 1, c)
-        c -= w * (c >= w)
-        del w, tri  # not held while the caller thins the chunk
-        yield row0[k] + r, col0[k] + c, q[k]
+        # rectangle: row r, column c; triangle: the pair (c + r + 1 mod w, c),
+        # where c + r + 1 < 2w, as its rows and columns start together
+        r, c = np.divmod(key, w)
+        np.add(r, c + 1, out=r, where=tri)
+        np.subtract(r, w, out=r, where=tri & (r >= w))
+        del key, w, tri  # not held while the caller thins the chunk
+        r += row0[k]
+        c += col0[k]
+        yield r, c, q[k]
+        del k, r, c  # nor while the next chunk is drawn
 
 
 def exact_edge_count_pmf(weights: WeightVector) -> EdgeCountPmf:

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, HypothesisError, UnsupportedModelError
 from .graph import conditional_edge_mean, pair_power_sums, sample_graph_fast, sample_graph_naive
 from .seeding import derive_seed
-from .stats import KsResult, ks_one_sample, ks_two_sample, normal_cdf
+from .stats import KsResult, ks_one_sample, ks_two_sample, median, normal_cdf
 from .weights import (
     WeightModel,
     WeightVector,
@@ -403,7 +403,7 @@ class AuditGridPoint:
     pair_moment_large: float
 
     def medians(self) -> dict[float, dict[str, float]]:
-        return {t: {name: float(np.median([getattr(x, name) for x in self.terms if x.t == t]))
+        return {t: {name: median([getattr(x, name) for x in self.terms if x.t == t])
                     for name in AUDIT_TERM_NAMES} for t in sorted({x.t for x in self.terms})}
 
 

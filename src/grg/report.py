@@ -33,6 +33,7 @@ from .limits import (
     replicate_edges,
     replication_weights,
 )
+from .stats import median
 from .weights import compute_norming, model_from_config, model_to_config
 
 __all__ = ["RunManifest", "emit_report", "read_run", "read_json", "config_to_dict",
@@ -217,9 +218,9 @@ def _t2_summary(run) -> dict:
     return {
         **_ks_summary(run),
         "a_n": run.a_n,
-        "edge_stat_median": float(np.median(run.edge_sample.values)),
-        "weight_stat_median": float(np.median(run.weight_sample.values)),
-        "deficit_median": float(np.median(run.deficits)),
+        "edge_stat_median": median(run.edge_sample.values),
+        "weight_stat_median": median(run.weight_sample.values),
+        "deficit_median": median(run.deficits),
         "deficit_mean": float(run.deficits.mean()),
         "ks_d_compensated": run.ks_compensated.d_stat,
         "ks_p_compensated": run.ks_compensated.p_value,

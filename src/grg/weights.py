@@ -258,7 +258,7 @@ class WeightVector:
     """A realized weight sample with exactly-summed totals.
 
     ``sum_l`` is the total weight and ``sum_sq`` the total of squares,
-    both correctly rounded from exact per-binade sums (see ``_exact_sum``):
+    both correctly rounded from exact per-binade sums (see ``_exact_sums``):
     they equal ``math.fsum`` of the values and of their squares bit for
     bit, so the relative error is one rounding at any sample size.
     """
@@ -277,7 +277,7 @@ class WeightVector:
         # positive weights are all finite exactly when both totals are
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                sum_l, sum_sq = _exact_sum(arr), _exact_sum(arr * arr)
+                sum_l, sum_sq = _exact_sums(arr)
             except OverflowError:
                 sum_l = sum_sq = math.inf
         if not (math.isfinite(sum_l) and math.isfinite(sum_sq)):
@@ -289,21 +289,22 @@ class WeightVector:
         return int(self.values.shape[0])
 
 
-def _exact_sum(arr: np.ndarray) -> float:
-    """math.fsum(arr) for nonnegative arr, from per-binade sums of the hi/lo split.
+def _exact_sums(arr: np.ndarray) -> tuple[float, float]:
+    """math.fsum of nonnegative arr and of arr * arr, from per-binade sums of the hi/lo split.
 
-    Not finite for an infinite value (its lo is inf - inf, a NaN), and inf
-    or OverflowError for a total that overflows, as with math.fsum.
+    The squares are formed a block at a time.  A total is not finite for an infinite
+    value (its lo is inf - inf, a NaN), and inf or OverflowError if it overflows.
     """
-    partials = []
+    partials = [], []
     for k in range(0, len(arr), _SUM_BLOCK):
-        x = arr[k : k + _SUM_BLOCK]
-        bits = x.view(np.int64)
-        binade = bits >> 52  # subnormals (binade 0) lie on the grid of binade 1
-        binade -= binade.min()
-        hi = (bits & _HI_MASK).view(np.float64)
-        partials += np.bincount(binade, hi).tolist() + np.bincount(binade, x - hi).tolist()
-    return math.fsum(partials)
+        block = arr[k : k + _SUM_BLOCK]
+        for x, out in zip((block, block * block), partials):
+            bits = x.view(np.int64)
+            binade = bits >> 52  # subnormals (binade 0) lie on the grid of binade 1
+            binade -= binade.min()
+            hi = (bits & _HI_MASK).view(np.float64)
+            out += np.bincount(binade, hi).tolist() + np.bincount(binade, x - hi).tolist()
+    return math.fsum(partials[0]), math.fsum(partials[1])
 
 
 class Moments(NamedTuple):
@@ -329,16 +330,21 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
     if isinstance(model, ConstantWeights):
         values = np.full(n, model.resolved_value(n))
     elif isinstance(model, ExponentialWeights):
-        values = rng.standard_exponential(n) / model.rate
+        values = rng.standard_exponential(n)
+        values /= model.rate
     elif isinstance(model, LogNormalWeights):
         values = rng.lognormal(model.mu, model.sigma, n)
     elif isinstance(model, GammaWeights):
         values = rng.gamma(model.shape, model.scale, n)
     elif isinstance(model, ParetoWeights):
+        values = rng.random(n)
+        np.subtract(1.0, values, out=values)
         with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
-            values = model.xm * (1.0 - rng.random(n)) ** (-1.0 / model.alpha)
+            values **= -1.0 / model.alpha
+        values *= model.xm
     elif isinstance(model, ParetoLogWeights):
-        values = 1.0 - rng.random(n)
+        values = rng.random(n)
+        np.subtract(1.0, values, out=values)
         for k in range(0, n, _NEWTON_BLOCK):  # in place, block by block
             values[k : k + _NEWTON_BLOCK] = _pareto_log_inverse_survival(
                 model, values[k : k + _NEWTON_BLOCK]

@@ -349,6 +349,14 @@ class TestStartup:
         assert "grg.weights" in loaded
         assert loaded.isdisjoint({"grg.limits", "grg.report", "grg.stats", "grg.stable"}), loaded
 
+    @pytest.mark.parametrize("path", ["experiment-T1", "experiment-T2", "experiment-LLN", "audit",
+                                      "report-T1", "report-T2", "report-AUDIT"])
+    def test_no_numpy_ma(self, finished_runs, tmp_path, path):
+        """Medians are sorted middles: np.median would load numpy.ma, about 17 ms per process."""
+        runs = finished_runs["T1"].parent
+        argv = [arg.format(runs=runs, out=tmp_path / "out") for arg in _SCIPY_FREE_PATHS[path]]
+        assert "numpy.ma" not in _modules_loaded(argv, "numpy")
+
     def test_package_names_resolve(self):
         """Every name grg imported eagerly still imports from ``grg``, also in a fresh process."""
         assert sorted(grg.__all__) == sorted(_PACKAGE_NAMES)

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import grg.graph
+import grg.weights
 from grg import (
     ConstantWeights,
     DomainError,
@@ -28,6 +30,8 @@ from grg import (
     write_edge_list,
 )
 from grg.graph import NAIVE_MAX_N
+from grg.limits import replication_weights
+from grg.seeding import derive_seed
 
 
 def brute_force_pmf(values):
@@ -431,3 +435,68 @@ class TestBucketThinning:
             g = sample_graph_fast(wv, seed)
             assert int(g.degrees.sum()) == 2 * g.edge_count
             assert g.candidates_examined <= 5 * (wv.n + g.edge_count)
+
+
+def traced_peaks(n):
+    """tracemalloc peaks of sample_weights and of sample_graph_fast on Pareto(1.5) at n.
+
+    The sampler's peak counts the weights it is given, 8 bytes per vertex.
+    """
+    tracemalloc.start()
+    try:
+        wv = sample_weights(ParetoWeights(1.5, 1.0), n, seed=n)
+        weights_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        g = sample_graph_fast(wv, n + 1)
+        sampler_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return weights_peak, sampler_peak, g
+
+
+class TestMemoryAndStreams:
+    def test_peak_memory_per_vertex(self):
+        """One large graph holds at most 28 bytes per vertex, plus one candidate pass.
+
+        Per vertex: the weights, their sorted copy, the int32 order and
+        degree tally (24 bytes).  Per pass: about 48 bytes for each of at
+        most about 1.5 * _CHUNK draws, bounded here by 96 * _CHUNK bytes.
+        The weights themselves peak at 10 bytes per vertex (the values and a
+        positivity mask) plus the temporaries of one block of exact sums.
+        """
+        sizes = (200_000, 800_000)
+        (w0, s0, g0), (w1, s1, g1) = map(traced_peaks, sizes)
+        slope = (s1 - s0) / (sizes[1] - sizes[0])
+        intercept = s0 - slope * sizes[0]
+        assert slope <= 28.0, (slope, intercept)
+        assert intercept <= 96 * grg.graph._CHUNK, (slope, intercept)
+        for n, w, g in zip(sizes, (w0, w1), (g0, g1)):
+            assert w <= 10 * n + 64 * grg.weights._SUM_BLOCK, (n, w / n)
+            assert g.degrees.dtype == np.int64
+            assert int(g.degrees.sum()) == 2 * g.edge_count > n
+
+    @pytest.mark.parametrize(
+        "model, n, master_seed, expected",
+        [
+            (ParetoWeights(1.5, 1.0), 200, 314159,
+             [(246, 278, 51755), (232, 259, 45563), (225, 258, 47328)]),
+            (ParetoWeights(1.5, 1.0), 5000, 314159,
+             [(7144, 8329, 34708428), (7273, 8528, 37851863), (7217, 8459, 35931043)]),
+            (ExponentialWeights(1.0), 10_000, 90210,
+             [(5264, 6199, 52347149), (5022, 5927, 50122199), (4841, 5808, 47978502)]),
+        ],
+        ids=["pareto-200", "pareto-5000", "exponential-10000"],
+    )
+    def test_experiment_streams_are_pinned(self, model, n, master_seed, expected):
+        """Edge count, candidates and sum_i i * deg_i of replications 0-2, drawn as experiments draw them.
+
+        At these sizes a graph is one candidate pass of at most 9,000
+        draws, so the pass size and the dtypes of the tally leave these
+        numbers as they are; whatever moves them moves T1/T2/LLN payloads.
+        """
+        got = []
+        for rep in range(len(expected)):
+            wv = replication_weights(model, n, master_seed, rep)
+            g = sample_graph_fast(wv, derive_seed(master_seed, 2 * rep + 1))
+            got.append((g.edge_count, g.candidates_examined, int(g.degrees @ np.arange(n))))
+        assert got == expected
