@@ -490,7 +490,7 @@ class TestMemoryAndStreams:
     def test_experiment_streams_are_pinned(self, model, n, master_seed, expected):
         """Edge count, candidates and sum_i i * deg_i of replications 0-2, drawn as experiments draw them.
 
-        At these sizes a graph is one candidate pass of at most 9,000
+        At these sizes a graph is one candidate pass of under 10,000
         draws, so the pass size and the dtypes of the tally leave these
         numbers as they are; whatever moves them moves T1/T2/LLN payloads.
         """
