@@ -8,6 +8,10 @@ Subcommands:
 * ``grg lemma1``     truncated-moment ratio table for a heavy-tailed model
 * ``grg report``     re-render a finished run from its result.csv / audit.csv
 
+Every graph comes from ``sample_graph_fast``, the one production
+sampler.  ``--threads`` asks for worker processes (0 = one per core);
+at most one per core and one per task are started.
+
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical, I/O or
 memory failure.  The environment variable GRG_SEED overrides the config
 master seed (an explicit ``--seed`` flag wins over both).
@@ -16,6 +20,7 @@ master seed (an explicit ``--seed`` flag wins over both).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,7 +38,7 @@ from .errors import (
     SizeError,
     UnsupportedModelError,
 )
-from .graph import sample_graph_fast, sample_graph_naive, write_edge_list
+from .graph import sample_graph_fast, write_edge_list
 from .weights import (
     lemma1_ratio_check,
     model_from_config,
@@ -76,6 +81,8 @@ def parse_model_spec(spec: str):
             key, eq, value = item.partition("=")
             if not eq:
                 raise ParameterError(f"bad model parameter {item!r} (expected key=value)")
+            if key.strip() in params:
+                raise ParameterError(f"model parameter {key.strip()!r} is given twice")
             try:
                 params[key.strip()] = float(value)
             except ValueError:
@@ -84,19 +91,11 @@ def parse_model_spec(spec: str):
 
 
 def _load_config(path: str, args):
-    from .limits import ExperimentConfig
     from .report import config_from_dict, read_json
 
     config = config_from_dict(read_json(path, "config"))
     seed = _resolve_seed(args, config.master_seed)
-    overrides = {}
-    if seed != config.master_seed:
-        overrides["master_seed"] = seed
-    if getattr(args, "sampler", None):
-        overrides["sampler"] = args.sampler
-    if overrides:
-        config = ExperimentConfig(**{**config.__dict__, **overrides})
-    return config
+    return config if seed == config.master_seed else dataclasses.replace(config, master_seed=seed)
 
 
 def _resolve_seed(args, fallback: int) -> int:
@@ -115,9 +114,8 @@ def _cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     seed = _resolve_seed(args, 0)
     weights = sample_weights(model, args.n, seed)
-    sampler = sample_graph_fast if args.sampler == "fast" else sample_graph_naive
-    graph = sampler(weights, seed + 1 if args.graph_seed is None else args.graph_seed,
-                    store_edges=args.edges is not None)
+    graph = sample_graph_fast(weights, seed + 1 if args.graph_seed is None else args.graph_seed,
+                              store_edges=args.edges is not None)
     summary = {
         "model": model_to_config(model),
         "n": graph.n,
@@ -159,7 +157,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_lemma1(args) -> int:
     model = parse_model_spec(args.model)
-    x_grid = [float(x) for x in args.x.split(",") if x.strip()]
+    try:
+        x_grid = [float(x) for x in args.x.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"--x must be comma-separated numbers, got {args.x!r}") from None
     if not x_grid:
         raise ConfigError("need at least one x value")
     ratios = lemma1_ratio_check(model, x_grid)
@@ -211,7 +212,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="weight seed (GRG_SEED overrides)")
     p.add_argument("--graph-seed", type=int, default=None, help="defaults to seed+1")
-    p.add_argument("--sampler", choices=("naive", "fast"), default="fast")
     p.add_argument("--out", default=None, help="summary JSON path (stdout if omitted)")
     p.add_argument("--edges", default=None, help="optional edge-list dump path")
     p.set_defaults(handler=_cmd_sample)
@@ -224,7 +224,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--sampler", choices=("naive", "fast"), default=None)
         p.add_argument("--threads", type=int, default=0, help="worker processes (0 = auto)")
         p.set_defaults(handler=_cmd_run)
 
@@ -250,7 +249,7 @@ def main(argv=None) -> int:
         if not getattr(args, "handler", None):
             parser.print_usage(sys.stderr)
             return 1
-        if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 0:
+        if getattr(args, "threads", 0) < 0:
             raise ConfigError("--threads must be >= 0")
         return args.handler(args)
     except _UsageError as exc:

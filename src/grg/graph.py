@@ -1,11 +1,11 @@
-"""The random graph itself: edge probabilities, samplers, exact oracle.
+"""The random graph itself: edge probabilities, the sampler, exact oracles.
 
 Given weights W_1..W_n with total L, each unordered pair {i, j} is an
 edge independently with probability p_ij = W_i W_j / (L + W_i W_j).
 Two samplers realize that law:
 
-* ``sample_graph_naive`` draws every pair;  O(n^2), the reference path.
-* ``sample_graph_fast`` thins candidates drawn under a bucket envelope,
+* ``sample_graph_fast``, the one production sampler, which every command
+  and experiment runs, thins candidates drawn under a bucket envelope,
   in numpy (the envelope idea of Batagelj & Brandes, PRE 2005, and
   Miller & Hagberg, WAW 2011).  The weights are sorted in descending
   order and grouped into buckets of a quarter binade of w/w_max, so a
@@ -20,10 +20,12 @@ Two samplers realize that law:
   Within a block p varies by at most a factor sqrt(2) in y, so the
   expected number of candidates is O(n + edge_count).  Up to n = 11 all
   pairs form one block with q = 1.
+* ``sample_graph_naive`` draws every pair, O(n^2); it is a test oracle.
 
-``exact_edge_count_pmf`` gives the exact conditional edge-count law for
-small n by convolving the per-pair Bernoulli indicators, and serves as
-the distributional oracle for both samplers.  ``conditional_edge_mean``
+The test oracles also include ``edge_probability``, one p_ij, and
+``exact_edge_count_pmf``, the exact conditional edge-count law for
+small n by convolving the per-pair Bernoulli indicators, the
+distributional oracle for both samplers.  ``conditional_edge_mean``
 gives its mean, E[E_n | W] = sum_{i<j} p_ij, at any n without forming
 the n x n pair matrix, from the pair power sums of ``pair_power_sums``.
 """
@@ -124,7 +126,7 @@ def edge_probability(w_i: float, w_j: float, l_n: float) -> float:
 def sample_graph_naive(
     weights: WeightVector, seed: int, store_edges: bool = False
 ) -> GraphSample:
-    """Independent Bernoulli draw for every pair; exact but O(n^2)."""
+    """Independent Bernoulli draw for every pair; exact but O(n^2), a test oracle."""
     n = weights.n
     if n < 2:
         raise ParameterError(f"need at least 2 vertices, got n={n}")

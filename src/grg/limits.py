@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, HypothesisError, UnsupportedModelError
-from .graph import conditional_edge_mean, pair_power_sums, sample_graph_fast, sample_graph_naive
+from .graph import conditional_edge_mean, pair_power_sums, sample_graph_fast
 from .seeding import derive_seed
 from .stats import KsResult, ks_one_sample, ks_two_sample, median, normal_cdf
 from .weights import (
@@ -88,14 +88,11 @@ class ExperimentConfig:
     replications: int
     master_seed: int
     theorem: str  # one of EXPERIMENT_KINDS
-    sampler: str = "fast"
     t_values: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         if self.theorem not in EXPERIMENT_KINDS:
             raise ConfigError(f"theorem must be one of {EXPERIMENT_KINDS}, got {self.theorem!r}")
-        if self.sampler not in ("naive", "fast"):
-            raise ConfigError(f"sampler must be 'naive' or 'fast', got {self.sampler!r}")
         if not self.n_grid or any(int(n) < 2 for n in self.n_grid):
             raise ConfigError("n_grid must be non-empty with every n >= 2")
         if self.replications < 1:
@@ -171,37 +168,39 @@ def replication_weights(model: WeightModel, n: int, master_seed: int, rep: int) 
 
 
 def _edge_stats_one(args):
-    """Edge count (-1 with no sampler), L_n and maybe E[E_n | W] of one replication."""
-    model, n, sampler_tag, master_seed, rep, with_mean = args
+    """Edge count (-1 with no graph), L_n and maybe E[E_n | W] of one replication."""
+    model, n, with_graph, master_seed, rep, with_mean = args
     wv = replication_weights(model, n, master_seed, rep)
     edge_count = -1
-    if sampler_tag is not None:
-        sampler = sample_graph_fast if sampler_tag == "fast" else sample_graph_naive
-        edge_count = sampler(wv, derive_seed(master_seed, 2 * rep + 1)).edge_count
+    if with_graph:
+        edge_count = sample_graph_fast(wv, derive_seed(master_seed, 2 * rep + 1)).edge_count
     mean = conditional_edge_mean(wv) if with_mean else math.nan
     return edge_count, wv.sum_l, mean
 
 
 def _map_ordered(fn, args_list, threads: int):
-    if threads == 1 or len(args_list) < 2:
+    """fn over args_list in order, on at most min(threads or cores, cores, tasks) processes."""
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, cores, len(args_list))
+    if workers <= 1:
         return [fn(a) for a in args_list]
     from concurrent.futures import ProcessPoolExecutor  # serial runs need no pool machinery
 
-    workers = (os.cpu_count() or 1) if threads == 0 else threads
     chunk = max(1, len(args_list) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
-def replicate_edges(config: ExperimentConfig, n: int, threads: int, sampler, with_mean: bool):
+def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: bool,
+                    with_mean: bool):
     """Per-replication edge counts, weight sums and conditional edge means.
 
-    The means are NaN unless ``with_mean``.  With ``sampler=None`` only
+    The means are NaN unless ``with_mean``.  Without ``with_graph`` only
     the weights are drawn, from the run's own seeds, and every edge
     count is -1.
     """
     args = [
-        (config.model, n, sampler, config.master_seed, rep, with_mean)
+        (config.model, n, with_graph, config.master_seed, rep, with_mean)
         for rep in range(config.replications)
     ]
     edge_counts, weight_sums, cond_means = zip(*_map_ordered(_edge_stats_one, args, threads))
@@ -353,7 +352,7 @@ def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, f
     tp = tail_params(model)
     if tp is None or not tp.alpha > 1.0:
         raise UnsupportedModelError("pair moments need a power-law tail with alpha > 1")
-    a, xm = tp.alpha, model.support_lower
+    a, xm = tp.alpha, model.xm
     if tp.h_kind == "constant":
         mixture = {2: 1.0}
     else:
@@ -475,7 +474,7 @@ def simulate(config: ExperimentConfig, threads: int = 1) -> list[tuple]:
     _check_hypothesis(config)
     if config.theorem != "AUDIT":
         with_mean = config.theorem == "T2"
-        return [replicate_edges(config, int(n), threads, config.sampler, with_mean)
+        return [replicate_edges(config, int(n), threads, True, with_mean)
                 for n in config.n_grid]
     table = []
     for n in map(int, config.n_grid):

@@ -64,20 +64,20 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "replications": config.replications,
         "master_seed": config.master_seed,
         "theorem": config.theorem,
-        "sampler": config.sampler,
+        "sampler": "fast",  # the one sampler, still recorded in every payload
         "t_values": list(config.t_values),
     }
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config of a JSON object; an optional "sampler" key must read "fast"."""
     try:
-        return ExperimentConfig(
+        config = ExperimentConfig(
             model=model_from_config(raw["model"]),
             n_grid=tuple(int(n) for n in raw["n_grid"]),
             replications=int(raw["replications"]),
             master_seed=int(raw["master_seed"]),
             theorem=str(raw["theorem"]),
-            sampler=str(raw.get("sampler", "fast")),
             t_values=tuple(float(t) for t in raw.get("t_values", [1.0])),
         )
     except KeyError as exc:
@@ -86,6 +86,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from None
+    if raw.get("sampler", "fast") != "fast":
+        raise ConfigError(f"config field 'sampler' must be 'fast', got {raw['sampler']!r}")
+    return config
 
 
 def read_json(path, what: str):
@@ -380,7 +383,7 @@ def _read_result_table(path: Path, config: ExperimentConfig, threads: int):
         weight_sums = np.array(weight_sums, dtype=float)
         cond_means = None
         if config.theorem == "T2":
-            _, redrawn, cond_means = replicate_edges(config, n, threads, None, True)
+            _, redrawn, cond_means = replicate_edges(config, n, threads, False, True)
         else:
             # replication 0 alone ties the table to the manifest's seed
             redrawn = [replication_weights(config.model, n, config.master_seed, 0).sum_l]

@@ -7,11 +7,14 @@ The module exposes:
   with exactly-summed totals,
 * ``analytic_moments`` -- closed-form mean / variance / second moment,
 * ``truncated_second_moment`` / ``truncated_first_moment_tail`` -- the
-  truncated moments E[W^2; W <= x] and E[W; W >= x],
+  truncated moments E[W^2; W <= x] and E[W; W >= x], in closed form for
+  the two power-law models, the only ones lemma 1 and the norming take,
 * ``lemma1_ratio_check`` -- exact truncated moments against their
   regular-variation asymptotes,
 * ``compute_norming`` -- the scaling sequence a_n defined as the root of
   a^2 = n * E[W^2; W <= a].
+
+The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import (
-    BracketingError,
-    IntegrationError,
-    ParameterError,
-    SizeError,
-    UnsupportedModelError,
-)
+from .errors import BracketingError, ParameterError, SizeError, UnsupportedModelError
 
 __all__ = [
     "ConstantWeights",
@@ -107,12 +104,6 @@ class ExponentialWeights:
         if not (self.rate > 0):
             raise ParameterError(f"rate must be positive, got {self.rate}")
 
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        return np.where(w >= 0, self.rate * np.exp(-self.rate * w), 0.0)
-
-    support_lower = 0.0
-
 
 @dataclass(frozen=True)
 class LogNormalWeights:
@@ -122,16 +113,6 @@ class LogNormalWeights:
     def __post_init__(self):
         if not (self.sigma > 0):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
-
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        pos = w > 0
-        z = (np.log(w[pos]) - self.mu) / self.sigma
-        out[pos] = np.exp(-0.5 * z * z) / (w[pos] * self.sigma * math.sqrt(2 * math.pi))
-        return out
-
-    support_lower = 0.0
 
 
 @dataclass(frozen=True)
@@ -144,17 +125,6 @@ class GammaWeights:
             raise ParameterError(
                 f"shape and scale must be positive, got ({self.shape}, {self.scale})"
             )
-
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        pos = w > 0
-        k, th = self.shape, self.scale
-        logpdf = (k - 1) * np.log(w[pos]) - w[pos] / th - math.lgamma(k) - k * math.log(th)
-        out[pos] = np.exp(logpdf)
-        return out
-
-    support_lower = 0.0
 
 
 @dataclass(frozen=True)
@@ -169,17 +139,6 @@ class ParetoWeights:
             raise ParameterError(
                 f"alpha and xm must be positive, got ({self.alpha}, {self.xm})"
             )
-
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        mask = w >= self.xm
-        out[mask] = self.alpha * self.xm**self.alpha * w[mask] ** (-self.alpha - 1)
-        return out
-
-    @property
-    def support_lower(self):
-        return self.xm
 
 
 @dataclass(frozen=True)
@@ -210,22 +169,6 @@ class ParetoLogWeights:
         r = w[mask] / self.xm
         out[mask] = r ** (-self.alpha) * (1.0 + np.log(r))
         return out
-
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        mask = (w >= self.xm) & (w < np.inf)  # as in survival, 0 * inf at w = inf
-        r = w[mask] / self.xm
-        out[mask] = (
-            r ** (-self.alpha - 1)
-            * (self.alpha * (1.0 + np.log(r)) - 1.0)
-            / self.xm
-        )
-        return out
-
-    @property
-    def support_lower(self):
-        return self.xm
 
 
 WeightModel = Union[
@@ -432,21 +375,8 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
     raise UnsupportedModelError(f"unknown weight model {model!r}")
 
 
-def _quad(fn, lo, hi) -> float:
-    from scipy import integrate  # imported here: only light-tailed truncated moments need it
-
-    out = integrate.quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=300, full_output=1)
-    if len(out) > 3:
-        raise IntegrationError(f"quadrature did not converge: {out[3]}")
-    return out[0]
-
-
-def _pdf_at(model, w: float) -> float:
-    return float(model.density(np.array([w]))[0])
-
-
 def truncated_second_moment(model: WeightModel, x: float) -> float:
-    """E[W^2; W <= x]: closed form for the power-law models, quadrature otherwise."""
+    """E[W^2; W <= x] in closed form; only the power-law models have it."""
     if not (x > 0):
         raise ParameterError(f"truncation point must be positive, got {x}")
     if isinstance(model, ParetoWeights):
@@ -468,16 +398,11 @@ def truncated_second_moment(model: WeightModel, x: float) -> float:
             ia = (r ** (2.0 - a) - 1.0) / (2.0 - a)
             ib = (r ** (2.0 - a) * ((2.0 - a) * math.log(r) - 1.0) + 1.0) / (2.0 - a) ** 2
         return xm * xm * ((a - 1.0) * ia + a * ib)
-    if isinstance(model, ConstantWeights):
-        raise UnsupportedModelError("constant weights have no density to integrate")
-    lo = model.support_lower
-    if x <= lo:
-        return 0.0
-    return _quad(lambda w: w * w * _pdf_at(model, w), lo, x)
+    raise UnsupportedModelError(f"no closed-form truncated moments for {model!r}")
 
 
 def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
-    """E[W; W >= x]: closed form for the power-law models, quadrature otherwise."""
+    """E[W; W >= x] in closed form; only the power-law models have it."""
     if not (x > 0):
         raise ParameterError(f"truncation point must be positive, got {x}")
     if isinstance(model, ParetoWeights):
@@ -492,10 +417,7 @@ def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
         head = r ** (1.0 - a) * (1.0 + lr)
         tail = r ** (1.0 - a) / (a - 1.0) + r ** (1.0 - a) * ((a - 1.0) * lr + 1.0) / (a - 1.0) ** 2
         return xm * (head + tail)
-    if isinstance(model, ConstantWeights):
-        raise UnsupportedModelError("constant weights have no density to integrate")
-    lo = max(x, model.support_lower)
-    return _quad(lambda w: w * _pdf_at(model, w), lo, np.inf)
+    raise UnsupportedModelError(f"no closed-form truncated moments for {model!r}")
 
 
 def tail_params(model: WeightModel) -> TailParams | None:
@@ -556,7 +478,7 @@ def compute_norming(model: WeightModel, n: int) -> float:
         raise UnsupportedModelError(
             "norming sequence is defined for heavy-tailed models with alpha in (1, 2)"
         )
-    xm = model.support_lower
+    xm = model.xm
 
     def gap(a: float) -> float:
         return a * a - n * truncated_second_moment(model, a)
@@ -619,6 +541,8 @@ def model_from_config(config: dict) -> WeightModel:
     params = {
         _FIELD_ALIASES.get(k, k): float(v) for k, v in config.items() if k != "kind"
     }
+    if len(params) < len(config) - 1:
+        raise ParameterError(f"two keys of {sorted(config)} name the same parameter of {kind}")
     if not all(math.isfinite(v) for v in params.values()):
         raise ParameterError(f"parameters of {kind} must be finite, got {params}")
     try:

@@ -91,8 +91,7 @@ def test_03_gaussian_limit():
     """Exponential weights, n=2000, 2000 reps: KS vs the normal accepts."""
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        ExponentialWeights(1.0), (50, 2000), 2000, master_seed=33,
-        theorem="T1", sampler="fast",
+        ExponentialWeights(1.0), (50, 2000), 2000, master_seed=33, theorem="T1"
     )
     res = run_gaussian_limit(cfg)
     d50, d2000 = res.runs[0].ks.d_stat, res.runs[1].ks.d_stat
@@ -115,8 +114,7 @@ def test_04_stable_limit_two_sample():
     """
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        ParetoWeights(1.5, 1.0), (200, 5000), 2000, master_seed=314159,
-        theorem="T2", sampler="fast",
+        ParetoWeights(1.5, 1.0), (200, 5000), 2000, master_seed=314159, theorem="T2"
     )
     res = run_stable_limit(cfg)
     small, large = res.runs

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -54,6 +55,10 @@ class TestModelSpec:
             parse_model_spec("pareto:alpha")
         with pytest.raises(ParameterError):
             parse_model_spec("nosuch:x=1")
+        with pytest.raises(ParameterError):  # a repeated key
+            parse_model_spec("pareto:alpha=1.5,xm=1,alpha=1.2")
+        with pytest.raises(ParameterError):  # two spellings of one parameter
+            parse_model_spec("constant:lam=1,lambda=2")
 
 
 class TestSampleCommand:
@@ -242,7 +247,7 @@ class TestLemma1Command:
     def test_light_tail_rejected(self, tmp_path):
         assert main(["lemma1", "--model", "exponential:rate=1", "--x", "10"]) == 1
 
-    @pytest.mark.parametrize("x", ["inf", "1e400", "100,nan"])
+    @pytest.mark.parametrize("x", ["inf", "1e400", "100,nan", "abc", "10,x"])
     def test_nonfinite_truncation_point_is_exit_1(self, x, capsys):
         assert main(["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", x]) == 1
         err = capsys.readouterr().err
@@ -357,6 +362,11 @@ class TestStartup:
         argv = [arg.format(runs=runs, out=tmp_path / "out") for arg in _SCIPY_FREE_PATHS[path]]
         assert "numpy.ma" not in _modules_loaded(argv, "numpy")
 
+    def test_scipy_only_in_stable(self):
+        """Library calls too, not only command paths: no module but stable mentions scipy."""
+        sources = Path(grg.weights.__file__).parent.glob("*.py")
+        assert {p.name for p in sources if "scipy" in p.read_text()} <= {"stable.py"}
+
     def test_package_names_resolve(self):
         """Every name grg imported eagerly still imports from ``grg``, also in a fresh process."""
         assert sorted(grg.__all__) == sorted(_PACKAGE_NAMES)
@@ -460,7 +470,6 @@ class TestReportCommand:
 
         for module in (grg.graph, grg.limits):
             monkeypatch.setattr(module, "sample_graph_fast", resimulated)
-            monkeypatch.setattr(module, "sample_graph_naive", resimulated)
         monkeypatch.setattr(grg.limits, "proof_audit", resimulated)
         if kind == "AUDIT":  # the pair moments are exact: no weights are drawn
             for module in (grg.weights, grg.limits):
@@ -621,8 +630,8 @@ class TestMalformedInput:
     def test_integer_flag(self, tmp_path_factory, flag, data):
         """Out-of-range or non-integer --n and --threads, and any --seed.
 
-        Only invalid --threads values are drawn: a valid large one would
-        start that many worker processes.
+        Only invalid --threads values are drawn, so that no worker starts;
+        TestThreads checks how many workers a valid value starts.
         """
         junk = st.text(max_size=12).filter(not_an_int)
         if flag == "--n":
@@ -644,9 +653,78 @@ class TestMalformedInput:
         assert code == expected, (flag, value, err)
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps in this process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestThreads:
+    """--threads starts at most one worker per core and one per task; no process starts here."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(RecordingExecutor, "started", [])
+        return RecordingExecutor.started
+
+    def test_workers_are_capped(self, pool):
+        cases = [(100_000, 10, 3), (0, 10, 3), (2, 10, 2), (100_000, 2, 2), (1, 10, 1),
+                 (0, 1, 1)]
+        for threads, tasks, workers in cases:
+            pool.clear()
+            assert grg.limits._map_ordered(abs, range(-tasks, 0), threads) == list(
+                range(tasks, 0, -1))
+            assert pool == ([workers] if workers > 1 else []), (threads, tasks)
+
+    def test_huge_thread_count_keeps_the_payload(self, pool, tmp_path):
+        cfg = write_config(tmp_path / "t1.json", n_grid=[20, 30], replications=100)
+        for out, threads in (("serial", "1"), ("huge", "100000")):
+            assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / out),
+                         "--threads", threads]) == 0
+        assert pool == [3, 3]
+        serial, huge = tmp_path / "serial", tmp_path / "huge"
+        for name in ("result.csv", "summary.json", "hist_20.svg", "hist_30.svg"):
+            assert (huge / name).read_bytes() == (serial / name).read_bytes(), name
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["sample", "experiment", "audit"])
+    @pytest.mark.parametrize("sampler", ["naive", "fast"])
+    def test_sampler_flag_is_gone(self, command, sampler, tmp_path):
+        """There is one sampler, so no command takes --sampler."""
+        if command == "sample":
+            argv = ["sample", "--model", "exponential:rate=1", "--n", "10"]
+        else:
+            argv = [command, "--config", str(write_config(tmp_path / "c.json")),
+                    "--out", str(tmp_path / "out")]
+        code, err = run_cli(argv + ["--sampler", sampler])
+        assert code == 1 and err.startswith("usage error:") and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "audit"])
+    def test_config_naming_the_naive_sampler(self, command, tmp_path):
+        """An old run's "sampler": "naive" is refused: the run would not be what it says."""
+        cfg = write_config(tmp_path / "c.json", sampler="naive")
+        code, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1 and err.startswith("config error:") and "'sampler'" in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag(self):
         assert main(["sample", "--model", "pareto:alpha=1.5,xm=1", "--n", "10",

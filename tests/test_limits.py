@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from grg import (
     ConfigError,
@@ -35,7 +35,8 @@ from grg import (
     stable_limit_statistic,
 )
 from grg.limits import audit_pair_moments
-from grg.weights import _pdf_at, _quad, truncated_first_moment_tail, truncated_second_moment
+from grg.report import config_from_dict
+from grg.weights import truncated_first_moment_tail, truncated_second_moment
 
 SIX_MODELS = [
     ConstantWeights(2.0),
@@ -66,13 +67,25 @@ def _dense_audit(weights):
     return sum_b, sum_c, sum_d
 
 
+def _pdf(model):
+    """The density: scipy.stats for Pareto, -d/dw of the survival for ParetoLog."""
+    a, xm = model.alpha, model.xm
+    if isinstance(model, ParetoWeights):
+        return stats.pareto(a, scale=xm).pdf
+    return lambda w: (w / xm) ** (-a - 1.0) * (a * (1.0 + math.log(w / xm)) - 1.0) / xm * (w >= xm)
+
+
+def _quad(fn, lo, hi) -> float:
+    return integrate.quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=300)[0]
+
+
 def _quadrature_pair_moments(model, n, a_n):
     """The pair moments as 1-d quadratures over W1 of closed-form truncated moments of W2.
 
     Past W1 = n/xm every W2 >= xm exceeds the cut, which adds
     EW * E[W; W >= n/xm] to the large moment.
     """
-    xm, pdf = model.support_lower, lambda w: _pdf_at(model, w)
+    xm, pdf = model.xm, _pdf(model)
     small = _quad(lambda w: pdf(w) * w * w * truncated_second_moment(model, n / w), xm, n / xm)
     large = _quad(lambda w: pdf(w) * w * truncated_first_moment_tail(model, n / w), xm, n / xm)
     large += analytic_moments(model).ew * truncated_first_moment_tail(model, n / xm)
@@ -130,8 +143,13 @@ class TestConfigValidation:
             ExperimentConfig(ExponentialWeights(1.0), (100,), 100, 1, "T3")
 
     def test_bad_sampler(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(ExponentialWeights(1.0), (100,), 100, 1, "T1", "magic")
+        """A config may omit "sampler" or name the one sampler; any other value is refused."""
+        raw = {"model": {"kind": "exponential", "rate": 1.0}, "n_grid": [100],
+               "replications": 100, "master_seed": 1, "theorem": "T1"}
+        assert config_from_dict(raw) == config_from_dict({**raw, "sampler": "fast"})
+        for sampler in ("naive", "magic", None):
+            with pytest.raises(ConfigError, match="'sampler'"):
+                config_from_dict({**raw, "sampler": sampler})
 
     def test_hypothesis_violations(self):
         heavy = ExperimentConfig(ParetoWeights(1.5, 1.0), (100,), 100, 1, "T1")
@@ -297,7 +315,7 @@ class TestProofAudit:
     def test_audit_run_trends(self):
         """Small grid: every audited median decreases with n."""
         cfg = ExperimentConfig(
-            ParetoWeights(1.5, 1.0), (100, 1000), 10, 555, "AUDIT", "fast", (0.5, 1.0)
+            ParetoWeights(1.5, 1.0), (100, 1000), 10, 555, "AUDIT", (0.5, 1.0)
         )
         res = run_proof_audit(cfg)
         trends = res.median_trends()
@@ -334,9 +352,7 @@ class TestPairMoments:
         """ParetoLog(1.5, 1) at n = 1e3 against a 2-d integral over w1 w2 <= n."""
         alpha, n = 1.5, 1e3
         model = ParetoLogWeights(alpha, 1.0)
-
-        def pdf(w):
-            return w ** (-alpha - 1.0) * (alpha * (1.0 + math.log(w)) - 1.0)
+        pdf = _pdf(model)
 
         def below(power):
             """E[(W1 W2)^power; W1 W2 <= n], in log coordinates r, s."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 import grg.weights
 from grg import (
@@ -45,6 +45,18 @@ ALL_MODELS = [ConstantWeights(2.0), ExponentialWeights(1.0), LogNormalWeights(0.
 POSITIVE_DOUBLES = st.floats(min_value=5e-324, max_value=1e300)
 # One value in each of 1000 binades, 2^-500 to 2^499.
 MANY_BINADES = ((np.random.default_rng(1).random(1000) + 1.0) * 2.0 ** np.arange(-500, 500)).tolist()
+
+
+def pdf(model):
+    """Each model's density from outside grg: scipy.stats, or -d/dw of the ParetoLog survival."""
+    if isinstance(model, ParetoLogWeights):
+        a, xm = model.alpha, model.xm
+        return lambda w: (w / xm) ** (-a - 1.0) * (a * (1.0 + math.log(w / xm)) - 1.0) / xm
+    if isinstance(model, ParetoWeights):
+        return stats.pareto(model.alpha, scale=model.xm).pdf
+    if isinstance(model, LogNormalWeights):
+        return stats.lognorm(model.sigma, scale=math.exp(model.mu)).pdf
+    return stats.gamma(model.shape, scale=model.scale).pdf
 
 
 def _lambertw_inverse_survival(model, u):
@@ -187,17 +199,16 @@ class TestAnalyticMoments:
 
     def test_lognormal_and_gamma_match_quadrature(self):
         for model in (LogNormalWeights(0.3, 0.8), GammaWeights(2.5, 0.7)):
-            mom = analytic_moments(model)
-            ew = integrate.quad(lambda w: w * float(model.density(np.array([w]))[0]), 0, np.inf)[0]
-            ew2 = integrate.quad(lambda w: w * w * float(model.density(np.array([w]))[0]), 0, np.inf)[0]
+            mom, f = analytic_moments(model), pdf(model)
+            ew = integrate.quad(lambda w: w * f(w), 0, np.inf)[0]
+            ew2 = integrate.quad(lambda w: w * w * f(w), 0, np.inf)[0]
             np.testing.assert_allclose([mom.ew, mom.ew2], [ew, ew2], rtol=1e-8)
 
     def test_paretolog_mean_matches_quadrature(self):
         model = ParetoLogWeights(1.7, 2.0)
         mom = analytic_moments(model)
-        ew = integrate.quad(
-            lambda w: w * float(model.density(np.array([w]))[0]), 2.0, np.inf
-        )[0]
+        f = pdf(model)
+        ew = integrate.quad(lambda w: w * f(w), 2.0, np.inf)[0]
         np.testing.assert_allclose(mom.ew, ew, rtol=1e-7)
         assert math.isinf(mom.ew2)
 
@@ -214,15 +225,12 @@ class TestTruncatedMoments:
         np.testing.assert_allclose(truncated_first_moment_tail(m, 100.0), 0.3)
         np.testing.assert_allclose(truncated_first_moment_tail(m, 1.0), 3.0)
 
-    def test_exponential_quadrature_recovers_full_moment(self):
-        """At x = 50 the truncated second moment is EW^2 = 2 up to 1e-8."""
-        val = truncated_second_moment(ExponentialWeights(1.0), 50.0)
-        assert abs(val - 2.0) < 1e-8
-
-    def test_exponential_tail_closed_form_oracle(self):
-        # E[W; W >= x] = (x + 1) e^-x for the unit exponential
-        val = truncated_first_moment_tail(ExponentialWeights(1.0), 10.0)
-        np.testing.assert_allclose(val, 11.0 * math.exp(-10.0), rtol=1e-8)
+    def test_light_tails_unsupported(self):
+        """Only the power-law models have closed forms; lemma 1 and the norming take no others."""
+        for model in (ExponentialWeights(1.0), LogNormalWeights(0.0, 1.0), GammaWeights(2.0, 1.5)):
+            for moment in (truncated_second_moment, truncated_first_moment_tail):
+                with pytest.raises(UnsupportedModelError):
+                    moment(model, 10.0)
 
     def test_second_moment_reconstruction_light_tail(self):
         """Truncation plus the exact tail reconstructs EW^2 for alpha > 2."""
@@ -234,7 +242,7 @@ class TestTruncatedMoments:
         np.testing.assert_allclose(truncated_second_moment(m, x) + tail2, mom.ew2, rtol=1e-9)
 
     def test_monotonicity(self):
-        m = LogNormalWeights(0.0, 1.0)
+        m = ParetoLogWeights(1.5, 0.8)
         grid = [0.5, 1.0, 2.0, 5.0, 20.0]
         second = [truncated_second_moment(m, x) for x in grid]
         tail = [truncated_first_moment_tail(m, x) for x in grid]
@@ -244,25 +252,18 @@ class TestTruncatedMoments:
     def test_boundary_exponent_closed_forms(self):
         """alpha = 2 hits the logarithmic branches of both power-law models."""
         for model in (ParetoWeights(2.0, 1.5), ParetoLogWeights(2.0, 1.5)):
+            f = pdf(model)
             for x in (3.0, 50.0):
-                quad = integrate.quad(
-                    lambda w: w * w * float(model.density(np.array([w]))[0]),
-                    1.5, x, epsabs=1e-12,
-                )[0]
+                quad = integrate.quad(lambda w: w * w * f(w), 1.5, x, epsabs=1e-12)[0]
                 np.testing.assert_allclose(truncated_second_moment(model, x), quad, rtol=1e-12)
 
     def test_paretolog_closed_forms_match_quadrature(self):
         model = ParetoLogWeights(1.5, 3.0)
+        f = pdf(model)
         for x in (5.0, 40.0, 300.0):
-            quad2 = integrate.quad(
-                lambda w: w * w * float(model.density(np.array([w]))[0]), 3.0, x,
-                epsabs=1e-12, limit=300,
-            )[0]
+            quad2 = integrate.quad(lambda w: w * w * f(w), 3.0, x, epsabs=1e-12, limit=300)[0]
             np.testing.assert_allclose(truncated_second_moment(model, x), quad2, rtol=1e-9)
-            quad1 = integrate.quad(
-                lambda w: w * float(model.density(np.array([w]))[0]), x, np.inf,
-                epsabs=1e-12, limit=300,
-            )[0]
+            quad1 = integrate.quad(lambda w: w * f(w), x, np.inf, epsabs=1e-12, limit=300)[0]
             np.testing.assert_allclose(truncated_first_moment_tail(model, x), quad1, rtol=1e-7)
 
     def test_constant_unsupported(self):
@@ -285,13 +286,6 @@ class TestParetoLog:
         with np.errstate(all="raise"):
             assert float(model.survival(np.inf)) == 0.0
             np.testing.assert_array_equal(model.survival([1.0, np.inf, 2.0]), [1.0, 0.0, 1.0])
-
-    def test_density_at_infinity(self):
-        """As for the survival, the density is 0 at x = inf, with no warning."""
-        model = ParetoLogWeights(1.5, 2.0)
-        with np.errstate(all="raise"):
-            assert float(model.density(np.inf)) == 0.0
-            np.testing.assert_array_equal(model.density([1.0, np.inf, 2.0]), [0.0, 0.0, 0.25])
 
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ParameterError):
