@@ -225,6 +225,20 @@ class TestTruncatedMoments:
         np.testing.assert_allclose(truncated_first_moment_tail(m, 100.0), 0.3)
         np.testing.assert_allclose(truncated_first_moment_tail(m, 1.0), 3.0)
 
+    def test_exponential_quadrature_recovers_full_moment(self):
+        """The full EW^2 = 2 is analytic; the truncated second moment has no light-tailed path."""
+        ew2 = integrate.quad(lambda w: w * w * math.exp(-w), 0.0, 50.0)[0]
+        assert abs(analytic_moments(ExponentialWeights(1.0)).ew2 - ew2) < 1e-8
+        with pytest.raises(UnsupportedModelError):
+            truncated_second_moment(ExponentialWeights(1.0), 50.0)
+
+    def test_exponential_tail_closed_form_oracle(self):
+        # E[W; W >= x] = (x + 1) e^-x for the unit exponential, but only power laws have a tail here
+        tail = integrate.quad(lambda w: w * math.exp(-w), 10.0, np.inf)[0]
+        np.testing.assert_allclose(tail, 11.0 * math.exp(-10.0), rtol=1e-8)
+        with pytest.raises(UnsupportedModelError):
+            truncated_first_moment_tail(ExponentialWeights(1.0), 10.0)
+
     def test_light_tails_unsupported(self):
         """Only the power-law models have closed forms; lemma 1 and the norming take no others."""
         for model in (ExponentialWeights(1.0), LogNormalWeights(0.0, 1.0), GammaWeights(2.0, 1.5)):
