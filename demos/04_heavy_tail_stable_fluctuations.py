@@ -16,8 +16,8 @@ every replication; the script prints its median and the KS distance of
 the compensated statistic (edge statistic plus deficit), which is
 already small at these n.
 
-The alpha-stable toolbox itself (polar-method sampler and a CDF from
-numerical characteristic-function inversion) is exercised at the end.
+The alpha-stable toolbox itself (polar-method sampler and a numpy CDF
+from Nolan's integral representation) is exercised at the end.
 """
 
 import numpy as np

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": "BracketingError ConfigError DomainError GrgError HypothesisError "
-              "IntegrationError ParameterError SizeError UnsupportedModelError",
+              "ParameterError SizeError UnsupportedModelError",
     "seeding": "derive_seed splitmix64",
     "weights": "ConstantWeights ExponentialWeights GammaWeights LemmaRatios LogNormalWeights "
                "Moments ParetoLogWeights ParetoWeights TailParams WeightModel WeightVector "
@@ -29,7 +29,7 @@ _EXPORTS = {
     "graph": "EdgeCountPmf GraphSample NAIVE_MAX_N conditional_edge_mean edge_probability "
              "exact_edge_count_pmf pair_power_sums sample_graph_fast sample_graph_naive "
              "write_edge_list",
-    "stable": "StableParams sample_stable stable_cdf stable_cdf_batch stable_char_fn",
+    "stable": "StableParams sample_stable stable_cdf_batch",
     "stats": "EmpiricalCdf KsResult empirical_cdf kolmogorov_sf ks_one_sample ks_two_sample "
              "normal_cdf",
     "limits": "AuditResult AuditTerms ExperimentConfig LimitResult LlnResult NormalizedSample "

@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     GrgError,
     HypothesisError,
-    IntegrationError,
     ParameterError,
     SizeError,
     UnsupportedModelError,
@@ -58,7 +57,7 @@ _CONFIG_ERRORS = (
     SizeError,
     HypothesisError,
 )
-_NUMERIC_ERRORS = (IntegrationError, BracketingError, FloatingPointError)
+_NUMERIC_ERRORS = (BracketingError, FloatingPointError)
 
 
 class _UsageError(Exception):

@@ -29,9 +29,5 @@ class HypothesisError(GrgError, ValueError):
     """The model violates the moment/tail hypothesis of the experiment."""
 
 
-class IntegrationError(GrgError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class BracketingError(GrgError, ArithmeticError):
     """Root bracketing failed (no sign change in the search interval)."""

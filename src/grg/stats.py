@@ -44,11 +44,18 @@ class EmpiricalCdf:
         return np.searchsorted(self.sorted_values, x, side="right") / n
 
 
+def _sorted_sample(sample) -> np.ndarray:
+    """A sorted float copy of a sample, which must be non-empty and finite."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    if xs.size == 0:
+        raise DomainError("empty sample")
+    if not np.isfinite(xs).all():
+        raise DomainError("sample holds a non-finite value")
+    return xs
+
+
 def empirical_cdf(sample) -> EmpiricalCdf:
-    arr = np.asarray(sample, dtype=float)
-    if arr.size == 0:
-        raise DomainError("empty sample has no ECDF")
-    return EmpiricalCdf(np.sort(arr))
+    return EmpiricalCdf(_sorted_sample(sample))
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -89,12 +96,11 @@ def ks_one_sample(sample, cdf) -> KsResult:
     :class:`EmpiricalCdf`) has no left gaps at matching jumps, so for
     that case the supremum is taken over the merged jump set instead.
     The CDF must be monotone on the sample grid; a decreasing stretch
-    raises DomainError since it would silently corrupt the statistic.
+    raises DomainError since it would silently corrupt the statistic, as
+    would a NaN or an infinity in the sample.
     """
-    xs = np.sort(np.asarray(sample, dtype=float))
+    xs = _sorted_sample(sample)
     n = len(xs)
-    if n == 0:
-        raise DomainError("empty sample")
     if isinstance(cdf, EmpiricalCdf):
         grid = np.concatenate([xs, cdf.sorted_values])
         own = np.searchsorted(xs, grid, side="right") / n
@@ -111,11 +117,8 @@ def ks_one_sample(sample, cdf) -> KsResult:
 
 
 def ks_two_sample(a, b) -> KsResult:
-    """Two-sample KS; symmetric in its arguments."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if len(a) == 0 or len(b) == 0:
-        raise DomainError("empty sample")
+    """Two-sample KS; symmetric in its arguments.  Both samples must be finite."""
+    a, b = _sorted_sample(a), _sorted_sample(b)
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / len(a)
     cdf_b = np.searchsorted(b, grid, side="right") / len(b)

@@ -306,15 +306,15 @@ _SCIPY_FREE_PATHS = {
 
 # The names that grg/__init__ imported eagerly before its names became lazy.
 _PACKAGE_NAMES = (
-    "BracketingError ConfigError DomainError GrgError HypothesisError IntegrationError "
+    "BracketingError ConfigError DomainError GrgError HypothesisError "
     "ParameterError SizeError UnsupportedModelError derive_seed splitmix64 ConstantWeights "
     "ExponentialWeights GammaWeights LemmaRatios LogNormalWeights Moments ParetoLogWeights "
     "ParetoWeights TailParams WeightModel WeightVector analytic_moments compute_norming "
     "lemma1_ratio_check model_from_config model_to_config sample_weights tail_params "
     "truncated_first_moment_tail truncated_second_moment EdgeCountPmf GraphSample NAIVE_MAX_N "
     "conditional_edge_mean edge_probability exact_edge_count_pmf pair_power_sums "
-    "sample_graph_fast sample_graph_naive write_edge_list StableParams sample_stable stable_cdf "
-    "stable_cdf_batch stable_char_fn EmpiricalCdf KsResult empirical_cdf kolmogorov_sf "
+    "sample_graph_fast sample_graph_naive write_edge_list StableParams sample_stable "
+    "stable_cdf_batch EmpiricalCdf KsResult empirical_cdf kolmogorov_sf "
     "ks_one_sample ks_two_sample normal_cdf AuditResult AuditTerms ExperimentConfig LimitResult "
     "LlnResult NormalizedSample normal_limit_statistic proof_audit run_experiment "
     "run_gaussian_limit run_lln run_proof_audit run_stable_limit stable_limit_statistic "
@@ -339,7 +339,7 @@ def _modules_loaded(argv: list[str], package: str) -> set[str]:
 
 
 class TestStartup:
-    """Each command imports only what it computes with; scipy is loaded only where it is used."""
+    """Each command imports only what it computes with, and nothing in grg loads scipy."""
 
     @pytest.mark.parametrize("path", sorted(_SCIPY_FREE_PATHS))
     def test_no_scipy(self, finished_runs, tmp_path, path):
@@ -363,9 +363,20 @@ class TestStartup:
         assert "numpy.ma" not in _modules_loaded(argv, "numpy")
 
     def test_scipy_only_in_stable(self):
-        """Library calls too, not only command paths: no module but stable mentions scipy."""
+        """Library calls too, not only command paths: no module mentions scipy, stable included."""
         sources = Path(grg.weights.__file__).parent.glob("*.py")
-        assert {p.name for p in sources if "scipy" in p.read_text()} <= {"stable.py"}
+        assert {p.name for p in sources if "scipy" in p.read_text()} == set()
+
+    def test_stable_law_loads_no_scipy(self):
+        """``grg.stable``, scipy's last user, computes its CDF in a fresh process without it."""
+        code = ("import json, sys\n"
+                "from grg.stable import StableParams, sample_stable, stable_cdf_batch\n"
+                "p = StableParams(1.5, 1.0)\n"
+                "assert stable_cdf_batch(sample_stable(p, 3000, seed=1), p).shape == (3000,)\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        proc = _run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_package_names_resolve(self):
         """Every name grg imported eagerly still imports from ``grg``, also in a fresh process."""

@@ -36,6 +36,11 @@ class TestEmpiricalCdf:
         with pytest.raises(DomainError):
             empirical_cdf([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            empirical_cdf([0.1, bad, 0.3])
+
 
 class TestNormalCdf:
     def test_center(self):
@@ -91,6 +96,12 @@ class TestOneSample:
         with pytest.raises(DomainError):
             ks_one_sample([1.0, 2.0, 3.0], lambda x: -np.asarray(x, dtype=float))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        """A NaN gave D = nan and p = 0 without complaint."""
+        with pytest.raises(DomainError):
+            ks_one_sample([0.1, bad, 0.3], normal_cdf)
+
     def test_p_value_self_consistency(self):
         """Samples drawn from the target: p > 0.001 in at least 999/1000 runs."""
         rng = np.random.default_rng(42)
@@ -102,6 +113,14 @@ class TestOneSample:
 
 
 class TestTwoSample:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        """A NaN sorted to the end and gave D = 0.33, p = 0.99 without complaint."""
+        with pytest.raises(DomainError):
+            ks_two_sample([0.1, bad, 0.3], [0.2, 0.5])
+        with pytest.raises(DomainError):
+            ks_two_sample([0.2, 0.5], [0.1, bad, 0.3])
+
     def test_identical_samples(self):
         xs = [0.0, 1.0, 1.0, 3.5]
         assert ks_two_sample(xs, xs).d_stat == 0.0
