@@ -47,8 +47,8 @@ print(
 for run in res.runs:
     print(
         f"{run.n:>6} {run.a_n:>9.1f} {run.ks.d_stat:>8.4f} "
-        f"{np.median(run.weight_sample.values):>12.4f} "
-        f"{np.median(run.edge_sample.values):>10.4f} "
+        f"{np.median(run.weight_statistic):>12.4f} "
+        f"{np.median(run.statistic):>10.4f} "
         f"{np.median(run.deficits):>13.4f} "
         f"{run.ks_compensated.d_stat:>8.4f} {run.ks_compensated.p_value:>8.3f}"
     )

@@ -27,12 +27,11 @@ _EXPORTS = {
                "model_to_config sample_weights tail_params truncated_first_moment_tail "
                "truncated_second_moment",
     "graph": "EdgeCountPmf GraphSample NAIVE_MAX_N conditional_edge_mean edge_probability "
-             "exact_edge_count_pmf pair_power_sums sample_graph_fast sample_graph_naive "
+             "exact_edge_count_pmf pair_sums sample_graph_fast sample_graph_naive "
              "write_edge_list",
     "stable": "StableParams sample_stable stable_cdf_batch",
-    "stats": "EmpiricalCdf KsResult empirical_cdf kolmogorov_sf ks_one_sample ks_two_sample "
-             "normal_cdf",
-    "limits": "AuditResult AuditTerms ExperimentConfig LimitResult LlnResult NormalizedSample "
+    "stats": "KsResult kolmogorov_sf ks_one_sample ks_two_sample normal_cdf",
+    "limits": "AuditResult AuditTerms ExperimentConfig LimitResult LlnResult "
               "normal_limit_statistic proof_audit run_experiment run_gaussian_limit run_lln "
               "run_proof_audit run_stable_limit stable_limit_statistic",
     "report": "RunManifest config_from_dict config_to_dict emit_report read_run",

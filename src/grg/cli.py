@@ -113,13 +113,12 @@ def _cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     seed = _resolve_seed(args, 0)
     weights = sample_weights(model, args.n, seed)
-    graph = sample_graph_fast(weights, seed + 1 if args.graph_seed is None else args.graph_seed,
-                              store_edges=args.edges is not None)
+    graph = sample_graph_fast(weights, seed + 1, store_edges=args.edges is not None)
     summary = {
         "model": model_to_config(model),
         "n": graph.n,
         "seed": seed,
-        "sampler": graph.sampler_tag,
+        "sampler": "fast",
         "edge_count": graph.edge_count,
         "edges_per_vertex": graph.edge_count / graph.n,
         "L_n": weights.sum_l,
@@ -209,8 +208,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", parents=[], help="sample one graph", add_help=True)
     p.add_argument("--model", required=True, help="e.g. pareto:alpha=1.5,xm=1")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help="weight seed (GRG_SEED overrides)")
-    p.add_argument("--graph-seed", type=int, default=None, help="defaults to seed+1")
+    p.add_argument("--seed", type=int, default=None,
+                   help="weight seed, overrides GRG_SEED; the graph seed is seed+1")
     p.add_argument("--out", default=None, help="summary JSON path (stdout if omitted)")
     p.add_argument("--edges", default=None, help="optional edge-list dump path")
     p.set_defaults(handler=_cmd_sample)

@@ -27,7 +27,7 @@ The test oracles also include ``edge_probability``, one p_ij, and
 small n by convolving the per-pair Bernoulli indicators, the
 distributional oracle for both samplers.  ``conditional_edge_mean``
 gives its mean, E[E_n | W] = sum_{i<j} p_ij, at any n without forming
-the n x n pair matrix, from the pair power sums of ``pair_power_sums``.
+the n x n pair matrix, from the pair sums of ``pair_sums``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
     "sample_graph_fast",
     "exact_edge_count_pmf",
     "conditional_edge_mean",
-    "pair_power_sums",
+    "pair_sums",
     "write_edge_list",
 ]
 
@@ -62,12 +62,13 @@ NAIVE_MAX_N = 20_000
 # Exact pmf convolution is capped at 66 edge indicators.
 PMF_MAX_N = 12
 
-# pair_power_sums sums y^k, y = W_i W_j / L, over the pairs with y <= _SERIES_CUT;
-# there conditional_edge_mean sums p = y/(1+y) by its series, whose _SERIES_TERMS
-# terms truncate below _SERIES_CUT**_SERIES_TERMS = 2**-56 relative per pair.
+# pair_sums sums p = y/(1+y), y p and p^2, y = W_i W_j / L, over the pairs with
+# y <= _SERIES_CUT by their series in y^k, k = 1..16, one row each of _PAIR_SERIES.
+# The first term left out, at most 16 y^17 (of p^2), is below 2^-56 y^2 per pair.
 _SERIES_CUT = 1.0 / 16.0
-_SERIES_TERMS = 14
-_SERIES_SIGNS = (-1.0) ** np.arange(_SERIES_TERMS)
+_PAIR_SERIES = np.array([
+    [(-1.0) ** (k + 1), (-1.0) ** k * (k >= 2), (-1.0) ** k * (k - 1)] for k in range(1, 17)
+]).T
 
 # Pairs above the series cut are evaluated exactly, this many at a time.
 _PAIR_BLOCK = 1 << 22
@@ -96,8 +97,6 @@ class GraphSample:
     n: int
     edge_count: int
     degrees: np.ndarray
-    seed: int
-    sampler_tag: str
     candidates_examined: int
     edges: list[tuple[int, int]] | None = field(default=None, repr=False)
 
@@ -156,8 +155,6 @@ def sample_graph_naive(
         n=n,
         edge_count=edge_count,
         degrees=degrees,
-        seed=seed,
-        sampler_tag="naive",
         candidates_examined=n * (n - 1) // 2,
         edges=edges,
     )
@@ -212,8 +209,6 @@ def sample_graph_fast(
         n=n,
         edge_count=edge_count,
         degrees=degrees,
-        seed=seed,
-        sampler_tag="fast",
         candidates_examined=candidates,
         edges=edges,
     )
@@ -304,17 +299,35 @@ def exact_edge_count_pmf(weights: WeightVector) -> EdgeCountPmf:
     return EdgeCountPmf(pmf)
 
 
-def pair_power_sums(weights: WeightVector, terms: int):
+def pair_sums(weights: WeightVector) -> tuple[float, float, float]:
+    """Sums of p, y p and p^2 over the ordered pairs, diagonal included, exact to rounding.
+
+    Here y = W_i W_j / L and p = y/(1+y).  Each row of ``_PAIR_SERIES``
+    weights the power sums of :func:`_pair_power_sums`, summed in order of
+    k; the large pairs are added to a total that starts at zero, one block
+    at a time, and then to the series.
+    """
+    sums, large_pairs = _pair_power_sums(weights)
+    series = np.cumsum(_PAIR_SERIES * sums, axis=1)[:, -1]
+    large = np.zeros(3)
+    for y in large_pairs:
+        p = y / (1.0 + y)
+        large += [p.sum(), (y * p).sum(), (p * p).sum()]
+    return tuple((series + large).tolist())
+
+
+def _pair_power_sums(weights: WeightVector):
     """Power sums of y = W_i W_j / L over the ordered pairs, diagonal included.
 
-    Returns ``(sums, large)``: ``sums[k - 1]`` sums y^k, k = 1..terms,
-    over the pairs with y <= 1/16; ``large`` yields the y of every other
-    pair, about ``_PAIR_BLOCK`` at a time.  With u = W / sqrt(L), a vertex
-    with u_i <= (1/16) / max(u) is in small pairs only and enters through
-    power sums of u; the other vertices are sorted, and the small pairs of
-    each such row, a prefix, enter through prefix sums.  A vertex whose
-    u^terms would overflow has all its pairs in ``large``.
+    Returns ``(sums, large)``: ``sums[k - 1]`` sums y^k, k = 1..16, over
+    the pairs with y <= 1/16; ``large`` yields the y of every other pair,
+    about ``_PAIR_BLOCK`` at a time.  With u = W / sqrt(L), a vertex with
+    u_i <= (1/16) / max(u) is in small pairs only and enters through power
+    sums of u; the other vertices are sorted, and the small pairs of each
+    such row, a prefix, enter through prefix sums.  A vertex whose u^16
+    would overflow has all its pairs in ``large``.
     """
+    terms = _PAIR_SERIES.shape[1]
     u = weights.values / math.sqrt(weights.sum_l)
     huge = u > 2.0 ** (900.0 / terms)  # keeps n^2 u^terms below the float range
     v = u[~huge] if huge.any() else u
@@ -354,15 +367,13 @@ def _large_pairs(tail: np.ndarray, cut: np.ndarray):
 def conditional_edge_mean(weights: WeightVector) -> float:
     """E[E_n | W] = sum_{i<j} p_ij, exact to rounding, without an n x n array.
 
-    p = y/(1+y) = y - y^2 + ... over the small pairs of :func:`pair_power_sums`.
+    Half the sum of p over the ordered pairs from :func:`pair_sums`, less
+    the diagonal terms d/(1+d), d = W_i^2 / L.
     """
     if weights.n < 2:
         raise ParameterError(f"need at least 2 vertices, got n={weights.n}")
-    sums, large_pairs = pair_power_sums(weights, _SERIES_TERMS)
-    series = float(np.cumsum(sums * _SERIES_SIGNS)[-1])  # y - y^2 + ..., in order of k
-    large = sum(float((y / (1.0 + y)).sum()) for y in large_pairs)
     diag = (weights.values / math.sqrt(weights.sum_l)) ** 2
-    return 0.5 * (series + large - float((diag / (1.0 + diag)).sum()))
+    return 0.5 * (pair_sums(weights)[0] - float((diag / (1.0 + diag)).sum()))
 
 
 def write_edge_list(sample: GraphSample, path) -> None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, HypothesisError, UnsupportedModelError
-from .graph import conditional_edge_mean, pair_power_sums, sample_graph_fast
+from .graph import conditional_edge_mean, pair_sums, sample_graph_fast
 from .seeding import derive_seed
 from .stats import KsResult, ks_one_sample, ks_two_sample, median, normal_cdf
 from .weights import (
@@ -55,7 +55,6 @@ from .weights import (
 
 __all__ = [
     "ExperimentConfig",
-    "NormalizedSample",
     "AuditTerms",
     "LimitResult",
     "LlnResult",
@@ -103,16 +102,6 @@ class ExperimentConfig:
             raise ConfigError("audit needs at least one t value")
         if not all(math.isfinite(t) for t in self.t_values):
             raise ConfigError(f"t_values must be finite, got {self.t_values}")
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedSample:
-    """One normalized statistic per replication at a fixed n."""
-
-    n: int
-    values: np.ndarray
-    norming_center: float
-    norming_scale: float
 
 
 @dataclass(frozen=True)
@@ -191,14 +180,14 @@ def _map_ordered(fn, args_list, threads: int):
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
-def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: bool,
-                    with_mean: bool):
+def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: bool):
     """Per-replication edge counts, weight sums and conditional edge means.
 
-    The means are NaN unless ``with_mean``.  Without ``with_graph`` only
+    The means are NaN unless the run is T2.  Without ``with_graph`` only
     the weights are drawn, from the run's own seeds, and every edge
     count is -1.
     """
+    with_mean = config.theorem == "T2"
     args = [
         (config.model, n, with_graph, config.master_seed, rep, with_mean)
         for rep in range(config.replications)
@@ -210,46 +199,39 @@ def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: 
 @dataclass(eq=False)
 class GaussianLimitRun:
     n: int
-    sample: NormalizedSample
+    statistic: np.ndarray  # the normalized edge count per replication
     edge_counts: np.ndarray
     weight_sums: np.ndarray
     ks: KsResult
-
-    @property
-    def statistic(self) -> np.ndarray:
-        return self.sample.values
 
 
 def _gaussian_run(config, n, edge_counts, weight_sums, cond_means) -> GaussianLimitRun:
     mom = analytic_moments(config.model, n)
     values = normal_limit_statistic(edge_counts, n, mom.ew, mom.var_w)
-    sample = NormalizedSample(n, values, n * mom.ew, math.sqrt(n * (2.0 * mom.ew + mom.var_w)))
-    return GaussianLimitRun(n, sample, edge_counts, weight_sums, ks_one_sample(values, normal_cdf))
+    return GaussianLimitRun(n, values, edge_counts, weight_sums, ks_one_sample(values, normal_cdf))
 
 
 @dataclass(eq=False)
 class StableLimitRun:
     """One n of a stable-limit run.
 
-    ``ks`` compares the weight-sum and edge statistics as they are.
-    ``deficits`` holds (L_n - 2 E[E_n | W]) / a_n per replication, and
-    ``ks_compensated`` compares the weight-sum statistic with the edge
-    statistic plus that deficit.
+    ``statistic`` holds the edge statistic (2 E_n - n EW) / a_n and
+    ``weight_statistic`` the weight-sum statistic (L_n - n EW) / a_n per
+    replication; ``ks`` compares the two as they are.  ``deficits`` holds
+    (L_n - 2 E[E_n | W]) / a_n per replication, and ``ks_compensated``
+    compares the weight-sum statistic with the edge statistic plus that
+    deficit.
     """
 
     n: int
     a_n: float
-    weight_sample: NormalizedSample
-    edge_sample: NormalizedSample
+    statistic: np.ndarray
+    weight_statistic: np.ndarray
     edge_counts: np.ndarray
     weight_sums: np.ndarray
     ks: KsResult
     deficits: np.ndarray
     ks_compensated: KsResult
-
-    @property
-    def statistic(self) -> np.ndarray:
-        return self.edge_sample.values
 
 
 def _stable_run(config, n, edge_counts, weight_sums, cond_means) -> StableLimitRun:
@@ -258,9 +240,7 @@ def _stable_run(config, n, edge_counts, weight_sums, cond_means) -> StableLimitR
     wstat = (weight_sums - n * ew) / a_n
     estat = stable_limit_statistic(edge_counts, n, ew, a_n)
     deficits = (weight_sums - 2.0 * cond_means) / a_n
-    weight_sample = NormalizedSample(n, wstat, n * ew, a_n)
-    edge_sample = NormalizedSample(n, estat, n * ew, a_n)
-    return StableLimitRun(n, a_n, weight_sample, edge_sample, edge_counts, weight_sums,
+    return StableLimitRun(n, a_n, estat, wstat, edge_counts, weight_sums,
                           ks_two_sample(wstat, estat), deficits,
                           ks_two_sample(wstat, estat + deficits))
 
@@ -284,20 +264,12 @@ def _lln_run(config, n, edge_counts, weight_sums, cond_means) -> LlnRun:
     )
 
 
-# Power-series coefficients in y = W_i W_j / L of the audit's pair sums,
-# rows t_b, t_c, t_d: p = y/(1+y), y p = y^2/(1+y) and p^2.  With
-# y <= 1/16, 20 terms truncate below 2^-70 relative.
-_AUDIT_SERIES = np.array([
-    [(-1.0) ** (k + 1), (-1.0) ** k * (k >= 2), (-1.0) ** k * (k - 1)] for k in range(1, 21)
-]).T
-
-
 def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> AuditTerms:
     """Evaluate the expansion bound terms, exact to rounding, near linear in n.
 
     Diagonal pairs i = j are included in every double sum; the diagonal
     correction also appears separately as ``selfloop_bound``.  The pair
-    sums are series over :func:`pair_power_sums`.  The normings are
+    sums of t_b, t_c and t_d come from :func:`pair_sums`.  The normings are
     passed in explicitly so degenerate models stay auditable with
     whatever normings make sense for them.
     """
@@ -310,12 +282,7 @@ def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> Audi
     selfloop = 2.0 * abs_t / c_n * sum_sq / l_n
     i1 = abs_t**3 * l_n / (12.0 * c_n**3)
     i3 = t * t / (c_n * c_n) * (sum_sq / n) ** 2 * (n / l_n) ** 2
-    sums, large_pairs = pair_power_sums(weights, _AUDIT_SERIES.shape[1])
-    totals = _AUDIT_SERIES @ sums
-    for y in large_pairs:
-        p = y / (1.0 + y)
-        totals += [p.sum(), (y * p).sum(), (p * p).sum()]
-    sum_b, sum_c, sum_d = totals.tolist()
+    sum_b, sum_c, sum_d = pair_sums(weights)
     return AuditTerms(
         n=n,
         t=t,
@@ -473,9 +440,7 @@ def simulate(config: ExperimentConfig, threads: int = 1) -> list[tuple]:
     """
     _check_hypothesis(config)
     if config.theorem != "AUDIT":
-        with_mean = config.theorem == "T2"
-        return [replicate_edges(config, int(n), threads, True, with_mean)
-                for n in config.n_grid]
+        return [replicate_edges(config, int(n), threads, True) for n in config.n_grid]
     table = []
     for n in map(int, config.n_grid):
         a_n = compute_norming(config.model, n)

@@ -213,7 +213,7 @@ def _ks_summary(run) -> dict:
 
 
 def _t1_summary(run) -> dict:
-    values = run.sample.values
+    values = run.statistic
     return {**_ks_summary(run), "mean": float(values.mean()), "std": float(values.std())}
 
 
@@ -221,8 +221,8 @@ def _t2_summary(run) -> dict:
     return {
         **_ks_summary(run),
         "a_n": run.a_n,
-        "edge_stat_median": median(run.edge_sample.values),
-        "weight_stat_median": median(run.weight_sample.values),
+        "edge_stat_median": median(run.statistic),
+        "weight_stat_median": median(run.weight_statistic),
         "deficit_median": median(run.deficits),
         "deficit_mean": float(run.deficits.mean()),
         "ks_d_compensated": run.ks_compensated.d_stat,
@@ -248,7 +248,7 @@ def _audit_summary(point) -> dict:
 
 def _t1_figure(path: Path, run) -> None:
     """Histogram of the normalized edge count under the standard normal density."""
-    values = run.sample.values
+    values = run.statistic
     xs = np.linspace(float(values.min()), float(values.max()), 200)
     pdf = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
     _write_histogram_svg(path, values, f"normalized edge count, n={run.n} (normal overlay)",
@@ -256,7 +256,7 @@ def _t1_figure(path: Path, run) -> None:
 
 
 def _t2_figure(path: Path, run) -> None:
-    _write_qq_svg(path, run.weight_sample.values, run.edge_sample.values,
+    _write_qq_svg(path, run.weight_statistic, run.statistic,
                   f"weight-sum vs edge statistic quantiles, n={run.n}",
                   "weight-sum statistic", "edge statistic")
 
@@ -383,7 +383,7 @@ def _read_result_table(path: Path, config: ExperimentConfig, threads: int):
         weight_sums = np.array(weight_sums, dtype=float)
         cond_means = None
         if config.theorem == "T2":
-            _, redrawn, cond_means = replicate_edges(config, n, threads, False, True)
+            _, redrawn, cond_means = replicate_edges(config, n, threads, False)
         else:
             # replication 0 alone ties the table to the manifest's seed
             redrawn = [replication_weights(config.model, n, config.master_seed, 0).sum_l]

@@ -1,4 +1,4 @@
-"""Empirical-distribution machinery: ECDF, KS tests, normal CDF.
+"""Kolmogorov-Smirnov tests and the normal CDF.
 
 P-values use the asymptotic Kolmogorov series with Stephens' small-n
 correction lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D, where ne is
@@ -16,8 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "KsResult",
-    "EmpiricalCdf",
-    "empirical_cdf",
     "ks_one_sample",
     "ks_two_sample",
     "normal_cdf",
@@ -33,17 +31,6 @@ class KsResult:
     n_effective: float
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Right-continuous step ECDF over a sorted copy of the sample."""
-
-    sorted_values: np.ndarray
-
-    def __call__(self, x):
-        n = len(self.sorted_values)
-        return np.searchsorted(self.sorted_values, x, side="right") / n
-
-
 def _sorted_sample(sample) -> np.ndarray:
     """A sorted float copy of a sample, which must be non-empty and finite."""
     xs = np.sort(np.asarray(sample, dtype=float))
@@ -52,10 +39,6 @@ def _sorted_sample(sample) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise DomainError("sample holds a non-finite value")
     return xs
-
-
-def empirical_cdf(sample) -> EmpiricalCdf:
-    return EmpiricalCdf(_sorted_sample(sample))
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -89,23 +72,16 @@ def _ks_p_value(d: float, n_effective: float) -> float:
 
 
 def ks_one_sample(sample, cdf) -> KsResult:
-    """One-sample KS of a sample against a callable CDF.
+    """One-sample KS of a sample against a continuous callable CDF.
 
     Both one-sided gaps are evaluated at every jump point, which is the
-    exact supremum for a continuous CDF.  A step target (an
-    :class:`EmpiricalCdf`) has no left gaps at matching jumps, so for
-    that case the supremum is taken over the merged jump set instead.
-    The CDF must be monotone on the sample grid; a decreasing stretch
-    raises DomainError since it would silently corrupt the statistic, as
-    would a NaN or an infinity in the sample.
+    exact supremum for a continuous CDF.  The CDF must be monotone on the
+    sample grid; a decreasing stretch raises DomainError since it would
+    silently corrupt the statistic, as would a NaN or an infinity in the
+    sample.
     """
     xs = _sorted_sample(sample)
     n = len(xs)
-    if isinstance(cdf, EmpiricalCdf):
-        grid = np.concatenate([xs, cdf.sorted_values])
-        own = np.searchsorted(xs, grid, side="right") / n
-        d = float(np.max(np.abs(own - cdf(grid))))
-        return KsResult(d, _ks_p_value(d, n), float(n))
     f = np.asarray(cdf(xs), dtype=float)
     if np.any(np.diff(f) < -1e-12):
         raise DomainError("cdf is not monotone on the sample grid")

@@ -304,7 +304,7 @@ _SCIPY_FREE_PATHS = {
 }
 
 
-# The names that grg/__init__ imported eagerly before its names became lazy.
+# The package's public names, each of which grg/__init__ loads on first use.
 _PACKAGE_NAMES = (
     "BracketingError ConfigError DomainError GrgError HypothesisError "
     "ParameterError SizeError UnsupportedModelError derive_seed splitmix64 ConstantWeights "
@@ -312,11 +312,11 @@ _PACKAGE_NAMES = (
     "ParetoWeights TailParams WeightModel WeightVector analytic_moments compute_norming "
     "lemma1_ratio_check model_from_config model_to_config sample_weights tail_params "
     "truncated_first_moment_tail truncated_second_moment EdgeCountPmf GraphSample NAIVE_MAX_N "
-    "conditional_edge_mean edge_probability exact_edge_count_pmf pair_power_sums "
+    "conditional_edge_mean edge_probability exact_edge_count_pmf pair_sums "
     "sample_graph_fast sample_graph_naive write_edge_list StableParams sample_stable "
-    "stable_cdf_batch EmpiricalCdf KsResult empirical_cdf kolmogorov_sf "
+    "stable_cdf_batch KsResult kolmogorov_sf "
     "ks_one_sample ks_two_sample normal_cdf AuditResult AuditTerms ExperimentConfig LimitResult "
-    "LlnResult NormalizedSample normal_limit_statistic proof_audit run_experiment "
+    "LlnResult normal_limit_statistic proof_audit run_experiment "
     "run_gaussian_limit run_lln run_proof_audit run_stable_limit stable_limit_statistic "
     "RunManifest config_from_dict config_to_dict emit_report read_run"
 ).split()
@@ -736,6 +736,12 @@ class TestUsage:
         code, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1 and err.startswith("config error:") and "'sampler'" in err, err
         assert not (tmp_path / "out").exists()
+
+    def test_graph_seed_flag_is_gone(self):
+        """The summary records no graph seed, so none may be chosen: it is always seed+1."""
+        code, err = run_cli(["sample", "--model", "exponential:rate=1", "--n", "10",
+                             "--graph-seed", "3"])
+        assert code == 1 and err.startswith("usage error:") and "Traceback" not in err, err
 
     def test_unknown_flag(self):
         assert main(["sample", "--model", "pareto:alpha=1.5,xm=1", "--n", "10",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import grg.graph
 from grg import (
     ConfigError,
     ConstantWeights,
@@ -25,6 +26,7 @@ from grg import (
     derive_seed,
     ks_two_sample,
     normal_limit_statistic,
+    pair_sums,
     proof_audit,
     run_experiment,
     run_gaussian_limit,
@@ -96,6 +98,36 @@ def _assert_matches_dense(weights):
     terms = proof_audit(weights, 1.0, 1.0, 1.0)
     dense = _dense_audit(weights)
     np.testing.assert_allclose([terms.t_b, terms.t_c, terms.t_d], dense, rtol=1e-12, atol=0)
+
+
+class TestPairSums:
+    def test_pairs_at_the_series_cut(self):
+        """Pairs at y = 1/16 exactly and 2^-44 either side of it."""
+        quarter = np.array([4.0, 4.0, 4.0 + 2.0**-38, 4.0 - 2.0**-38])
+        wv = WeightVector.from_values(np.concatenate([quarter, np.ones(240)]))
+        assert wv.sum_l == 256.0
+        y = np.outer(quarter, quarter) / wv.sum_l
+        assert (y == 1 / 16).any() and (y > 1 / 16).any() and (y < 1 / 16).any()
+        np.testing.assert_allclose(pair_sums(wv), _dense_audit(wv), rtol=1e-12, atol=0)
+
+    def test_huge_vertex(self):
+        """W / sqrt(L) of about 2^66 puts every pair of that vertex outside the series."""
+        wv = WeightVector.from_values(np.concatenate([[1e40], np.ones(200)]))
+        np.testing.assert_allclose(pair_sums(wv), _dense_audit(wv), rtol=1e-12, atol=0)
+
+    def test_large_pairs_in_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(grg.graph, "_PAIR_BLOCK", 64)
+        values = np.concatenate([np.full(40, 500.0), np.linspace(0.1, 3.0, 300)])
+        wv = WeightVector.from_values(values)
+        np.testing.assert_allclose(pair_sums(wv), _dense_audit(wv), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", [ExponentialWeights(1.0), ParetoWeights(1.5, 1.0)],
+                             ids=lambda m: type(m).__name__)
+    def test_p_row_is_twice_the_conditional_mean_plus_the_diagonal(self, model):
+        wv = sample_weights(model, 3000, seed=4)
+        d = wv.values**2 / wv.sum_l
+        expected = 2.0 * conditional_edge_mean(wv) + float((d / (1.0 + d)).sum())
+        assert pair_sums(wv)[0] == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestStatistics:
@@ -171,13 +203,13 @@ class TestGaussianRun:
         """Sample mean near 0; the O(1/sqrt(n)) centering bias stays inside 0.35."""
         cfg = ExperimentConfig(ExponentialWeights(1.0), (500,), 400, 5150, "T1")
         res = run_gaussian_limit(cfg)
-        assert abs(res.runs[0].sample.values.mean()) < 0.35
+        assert abs(res.runs[0].statistic.mean()) < 0.35
 
     def test_deterministic_and_thread_invariant(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (120,), 100, 77, "T1")
         a = run_gaussian_limit(cfg, threads=1)
         b = run_gaussian_limit(cfg, threads=2)
-        np.testing.assert_array_equal(a.runs[0].sample.values, b.runs[0].sample.values)
+        np.testing.assert_array_equal(a.runs[0].statistic, b.runs[0].statistic)
         np.testing.assert_array_equal(a.runs[0].edge_counts, b.runs[0].edge_counts)
 
 
@@ -189,10 +221,10 @@ class TestStableRun:
         run = res.runs[0]
         # the weight statistic is (L - n EW)/a_n for the same replications
         np.testing.assert_allclose(
-            run.weight_sample.values, (run.weight_sums - 100 * 3.0) / run.a_n
+            run.weight_statistic, (run.weight_sums - 100 * 3.0) / run.a_n
         )
         np.testing.assert_allclose(
-            run.edge_sample.values, (2.0 * run.edge_counts - 100 * 3.0) / run.a_n
+            run.statistic, (2.0 * run.edge_counts - 100 * 3.0) / run.a_n
         )
         assert run.ks.n_effective == pytest.approx(75.0)
         assert len(res.ks_d_trend) == 2
@@ -214,19 +246,19 @@ class TestStableRun:
             np.testing.assert_allclose(
                 ra.deficits, (ra.weight_sums - 2.0 * means) / ra.a_n, rtol=1e-12, atol=1e-12
             )
-            compensated = ra.edge_sample.values + ra.deficits
+            compensated = ra.statistic + ra.deficits
             np.testing.assert_allclose(
                 compensated,
                 (2.0 * ra.edge_counts - 2.0 * means + ra.weight_sums - ra.n * 3.0) / ra.a_n,
                 rtol=1e-12, atol=1e-12,
             )
-            assert ks_two_sample(ra.weight_sample.values, compensated) == ra.ks_compensated
+            assert ks_two_sample(ra.weight_statistic, compensated) == ra.ks_compensated
 
     def test_median_stabilizes_in_n(self):
         """Edge-statistic medians at n and 2n differ by less than 0.2."""
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (2000, 4000), 400, 1618, "T2")
         res = run_stable_limit(cfg)
-        medians = [float(np.median(r.edge_sample.values)) for r in res.runs]
+        medians = [float(np.median(r.statistic)) for r in res.runs]
         assert abs(medians[1] - medians[0]) < 0.2, medians
 
 
