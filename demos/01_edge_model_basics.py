@@ -7,21 +7,19 @@ things make this model pleasant to test against:
 * constant weights n*lam/(n - lam) reproduce the classical uniform
   random graph with p = lam/n exactly, and
 * for small n the edge count has a computable law (a Poisson binomial
-  over the pair indicators), which both samplers must match.
+  over the pair indicators), which the sampler and the pairwise test
+  oracle in ``tests/oracles.py`` must both match.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from grg import (
-    ConstantWeights,
-    ParetoWeights,
-    WeightVector,
-    edge_probability,
-    exact_edge_count_pmf,
-    sample_graph_fast,
-    sample_graph_naive,
-    sample_weights,
-)
+from grg import ConstantWeights, ParetoWeights, WeightVector, sample_graph_fast, sample_weights
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import exact_pmf, pair_probabilities, sample_graph_naive  # noqa: E402
 
 print("=" * 64)
 print("constant weights reduce to the uniform random graph")
@@ -29,22 +27,22 @@ print("=" * 64)
 wv = sample_weights(ConstantWeights(2.0), 10, seed=0)
 print(f"weight value  : {wv.values[0]} (= 10*2/8)")
 print(f"total weight  : {wv.sum_l}")
-print(f"p_ij          : {edge_probability(wv.values[0], wv.values[1], wv.sum_l)} (= lam/n = 0.2)")
+print(f"p_ij          : {pair_probabilities(wv)[0]} (= lam/n = 0.2)")
 
 print()
 print("=" * 64)
 print("exact edge-count law vs both samplers, weights (1, 2, 3)")
 print("=" * 64)
 wv = WeightVector.from_values([1.0, 2.0, 3.0])
-pmf = exact_edge_count_pmf(wv)
-print(f"exact pmf     : {np.round(pmf.probabilities, 4)}  (x24 = {np.round(pmf.probabilities * 24)})")
+pmf = exact_pmf(wv)
+print(f"exact pmf     : {np.round(pmf, 4)}  (x24 = {np.round(pmf * 24)})")
 
 reps = 40_000
 for sampler in (sample_graph_naive, sample_graph_fast):
     counts = np.zeros(4)
     for seed in range(reps):
         counts[sampler(wv, seed).edge_count] += 1
-    tv = 0.5 * np.abs(counts / reps - pmf.probabilities).sum()
+    tv = 0.5 * np.abs(counts / reps - pmf).sum()
     print(f"{sampler.__name__:20s}: {np.round(counts / reps, 4)}  TV = {tv:.4f}")
 
 print()

@@ -15,18 +15,16 @@ weights, 16 of sorted weights, vertex order and degree tally, and one
 candidate pass of a few MB, which dominates at small n.
 """
 
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
-from grg import (
-    ExponentialWeights,
-    ParetoLogWeights,
-    ParetoWeights,
-    sample_graph_fast,
-    sample_graph_naive,
-    sample_weights,
-)
+from grg import (ExponentialWeights, ParetoLogWeights, ParetoWeights, sample_graph_fast,
+                 sample_weights)
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import sample_graph_naive  # noqa: E402
 
 
 def graph_peak_per_vertex(model, n: int) -> float:

@@ -26,9 +26,7 @@ _EXPORTS = {
                "analytic_moments compute_norming lemma1_ratio_check model_from_config "
                "model_to_config sample_weights tail_params truncated_first_moment_tail "
                "truncated_second_moment",
-    "graph": "EdgeCountPmf GraphSample NAIVE_MAX_N conditional_edge_mean edge_probability "
-             "exact_edge_count_pmf pair_sums sample_graph_fast sample_graph_naive "
-             "write_edge_list",
+    "graph": "GraphSample conditional_edge_mean pair_sums sample_graph_fast write_edge_list",
     "stable": "StableParams sample_stable stable_cdf_batch",
     "stats": "KsResult kolmogorov_sf ks_one_sample ks_two_sample normal_cdf",
     "limits": "AuditResult AuditTerms ExperimentConfig LimitResult LlnResult "

@@ -38,14 +38,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graph import sample_graph_fast, write_edge_list
-from .weights import (
-    lemma1_ratio_check,
-    model_from_config,
-    model_to_config,
-    sample_weights,
-    truncated_first_moment_tail,
-    truncated_second_moment,
-)
+from .weights import lemma1_ratio_check, model_from_config, model_to_config, sample_weights
 
 __all__ = ["main"]
 
@@ -168,10 +161,8 @@ def _cmd_lemma1(args) -> int:
     ]
     flagged = False
     for r in ratios:
-        e2 = truncated_second_moment(model, r.x)
-        e1 = truncated_first_moment_tail(model, r.x)
         lines.append(
-            f"{r.x!r},{e2!r},{e1!r},{r.ratio_second!r},"
+            f"{r.x!r},{r.trunc_second_exact!r},{r.tail_first_exact!r},{r.ratio_second!r},"
             f"{r.ratio_tail_karamata!r},{r.ratio_tail_alt!r}"
         )
         if abs(r.ratio_tail_alt - 1.0) > 0.05:

@@ -1,33 +1,27 @@
-"""The random graph itself: edge probabilities, the sampler, exact oracles.
+"""The random graph itself: the sampler and the conditional edge mean.
 
 Given weights W_1..W_n with total L, each unordered pair {i, j} is an
 edge independently with probability p_ij = W_i W_j / (L + W_i W_j).
-Two samplers realize that law:
+``sample_graph_fast``, the one sampler, which every command and
+experiment runs, thins candidates drawn under a bucket envelope, in
+numpy (the envelope idea of Batagelj & Brandes, PRE 2005, and Miller &
+Hagberg, WAW 2011).  The weights are sorted in descending order and
+grouped into buckets of a quarter binade of w/w_max, so a bucket is a
+contiguous range whose first weight is its largest.  A block is the
+product of two buckets, or the strict upper triangle of one; with
+y = max_A max_B / L every pair of the block has p <= q = y/(1+y).  A
+block of m pairs with y < 1 draws Poisson(m mu) uniform positions,
+mu = log(1 + y), and keeps the distinct ones, so each pair is a
+candidate with probability 1 - e^(-mu) = q, independently of the
+others; a block with y >= 1 takes every pair as a candidate (q = 1).
+Each candidate is an edge with probability p/q.  Within a block p
+varies by at most a factor sqrt(2) in y, so the expected number of
+candidates is O(n + edge_count).  Up to n = 11 all pairs form one block
+with q = 1.
 
-* ``sample_graph_fast``, the one production sampler, which every command
-  and experiment runs, thins candidates drawn under a bucket envelope,
-  in numpy (the envelope idea of Batagelj & Brandes, PRE 2005, and
-  Miller & Hagberg, WAW 2011).  The weights are sorted in descending
-  order and grouped into buckets of a quarter binade of w/w_max, so a
-  bucket is a contiguous range whose first weight is its largest.  A
-  block is the product of two buckets, or the strict upper triangle of
-  one; with y = max_A max_B / L every pair of the block has
-  p <= q = y/(1+y).  A block of m pairs with y < 1 draws Poisson(m mu)
-  uniform positions, mu = log(1 + y), and keeps the distinct ones, so
-  each pair is a candidate with probability 1 - e^(-mu) = q,
-  independently of the others; a block with y >= 1 takes every pair as
-  a candidate (q = 1).  Each candidate is an edge with probability p/q.
-  Within a block p varies by at most a factor sqrt(2) in y, so the
-  expected number of candidates is O(n + edge_count).  Up to n = 11 all
-  pairs form one block with q = 1.
-* ``sample_graph_naive`` draws every pair, O(n^2); it is a test oracle.
-
-The test oracles also include ``edge_probability``, one p_ij, and
-``exact_edge_count_pmf``, the exact conditional edge-count law for
-small n by convolving the per-pair Bernoulli indicators, the
-distributional oracle for both samplers.  ``conditional_edge_mean``
-gives its mean, E[E_n | W] = sum_{i<j} p_ij, at any n without forming
-the n x n pair matrix, from the pair sums of ``pair_sums``.
+``conditional_edge_mean`` gives E[E_n | W] = sum_{i<j} p_ij at any n
+without forming the n x n pair matrix, from the pair sums of
+``pair_sums``.
 """
 
 from __future__ import annotations
@@ -38,29 +32,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SizeError
+from .errors import ParameterError
 from .weights import WeightVector
 
 __all__ = [
     "GraphSample",
-    "EdgeCountPmf",
-    "NAIVE_MAX_N",
-    "edge_probability",
-    "sample_graph_naive",
     "sample_graph_fast",
-    "exact_edge_count_pmf",
     "conditional_edge_mean",
     "pair_sums",
     "write_edge_list",
 ]
 
 _SEED_MASK = (1 << 64) - 1
-
-# The pairwise sampler is quadratic; refuse sizes where it would grind.
-NAIVE_MAX_N = 20_000
-
-# Exact pmf convolution is capped at 66 edge indicators.
-PMF_MAX_N = 12
 
 # pair_sums sums p = y/(1+y), y p and p^2, y = W_i W_j / L, over the pairs with
 # y <= _SERIES_CUT by their series in y^k, k = 1..16, one row each of _PAIR_SERIES.
@@ -77,6 +60,9 @@ _PAIR_BLOCK = 1 << 22
 # pass, whole segments of at most _CHUNK/2 expected draws each, so a pass can
 # hold up to about 1.5 times as many; a pass needs about 5 MB at 2^16.
 _CHUNK = 1 << 16
+
+# write_edge_list formats this many lines per write.
+_WRITE_BLOCK = 1 << 16
 
 # Weight buckets are quarter binades of w/w_max: these are their lower
 # edges, over 64 binades; the last bucket is open-ended.
@@ -98,72 +84,13 @@ class GraphSample:
     edge_count: int
     degrees: np.ndarray
     candidates_examined: int
-    edges: list[tuple[int, int]] | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeCountPmf:
-    """Exact conditional law of the edge count given the weights."""
-
-    probabilities: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.probabilities)), self.probabilities))
-
-
-def edge_probability(w_i: float, w_j: float, l_n: float) -> float:
-    """p_ij = w_i w_j / (l_n + w_i w_j); symmetric, in [0, 1)."""
-    if not (l_n > 0):
-        raise DomainError(f"total weight must be positive, got {l_n}")
-    if w_i < 0 or w_j < 0:
-        raise DomainError("weights must be nonnegative")
-    prod = w_i * w_j
-    return prod / (l_n + prod)
-
-
-def sample_graph_naive(
-    weights: WeightVector, seed: int, store_edges: bool = False
-) -> GraphSample:
-    """Independent Bernoulli draw for every pair; exact but O(n^2), a test oracle."""
-    n = weights.n
-    if n < 2:
-        raise ParameterError(f"need at least 2 vertices, got n={n}")
-    if n > NAIVE_MAX_N:
-        raise SizeError(
-            f"pairwise sampler is capped at n={NAIVE_MAX_N}; use the fast sampler"
-        )
-    w = weights.values
-    l_n = weights.sum_l
-    rng = np.random.default_rng(seed & _SEED_MASK)
-    degrees = np.zeros(n, dtype=np.int64)
-    edges: list[tuple[int, int]] | None = [] if store_edges else None
-    edge_count = 0
-    for i in range(n - 1):
-        tail = w[i + 1 :]
-        prod = w[i] * tail
-        p = prod / (l_n + prod)
-        hit = rng.random(n - 1 - i) < p
-        k = int(hit.sum())
-        if k:
-            edge_count += k
-            degrees[i] += k
-            degrees[i + 1 :][hit] += 1
-            if edges is not None:
-                edges.extend((i, i + 1 + int(j)) for j in np.nonzero(hit)[0])
-    return GraphSample(
-        n=n,
-        edge_count=edge_count,
-        degrees=degrees,
-        candidates_examined=n * (n - 1) // 2,
-        edges=edges,
-    )
+    edges: np.ndarray | None = field(default=None, repr=False)  # (E, 2) ints, rows i < j, unsorted
 
 
 def sample_graph_fast(
     weights: WeightVector, seed: int, store_edges: bool = False
 ) -> GraphSample:
-    """Bucket thinning in numpy; the same law as the naive path.
+    """Bucket thinning in numpy: every pair is an edge with probability p_ij, independently.
 
     Every pair is a candidate independently with probability q, the
     envelope of its block, and a candidate is an edge with probability
@@ -185,7 +112,7 @@ def sample_graph_fast(
     v = weights.values[order]
     chunks = [(_COLEX_I[:m], _COLEX_J[:m], 1.0)] if small else _bucket_candidates(v, l_n, rng)
     tally = np.zeros(n, dtype=itype)
-    edges: list[tuple[int, int]] | None = [] if store_edges else None
+    pieces = [np.empty((0, 2), dtype=itype)] if store_edges else None
     candidates = edge_count = 0
     for i, j, q in chunks:
         p = v[i]
@@ -198,9 +125,9 @@ def sample_graph_fast(
         # O(hits), not O(n), per chunk; adding a Python 1 to int32 is 30 times slower
         np.add.at(tally, i, itype(1))
         np.add.at(tally, j, itype(1))
-        if edges is not None:
+        if pieces is not None:
             i, j = order[i], order[j]
-            edges.extend(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+            pieces.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
         del p, q, i, j, hit  # not held while the next chunk is drawn
     del v
     degrees = np.empty(n, dtype=np.int64)
@@ -210,7 +137,7 @@ def sample_graph_fast(
         edge_count=edge_count,
         degrees=degrees,
         candidates_examined=candidates,
-        edges=edges,
+        edges=None if pieces is None else np.concatenate(pieces),
     )
 
 
@@ -279,24 +206,6 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
         c += col0[k]
         yield r, c, q[k]
         del k, r, c  # nor while the next chunk is drawn
-
-
-def exact_edge_count_pmf(weights: WeightVector) -> EdgeCountPmf:
-    """Exact pmf of the edge count by convolving the pair indicators."""
-    n = weights.n
-    if n > PMF_MAX_N:
-        raise SizeError(f"exact pmf is capped at n={PMF_MAX_N}")
-    w = weights.values
-    l_n = weights.sum_l
-    pmf = np.array([1.0])
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            p = edge_probability(w[i], w[j], l_n)
-            nxt = np.zeros(len(pmf) + 1)
-            nxt[:-1] = pmf * (1.0 - p)
-            nxt[1:] += pmf * p
-            pmf = nxt
-    return EdgeCountPmf(pmf)
 
 
 def pair_sums(weights: WeightVector) -> tuple[float, float, float]:
@@ -380,6 +289,9 @@ def write_edge_list(sample: GraphSample, path) -> None:
     """Dump edges as '<i> <j>' lines, 0-indexed, ascending lexicographic."""
     if sample.edges is None:
         raise ParameterError("graph was sampled without store_edges=True")
+    key = sample.edges[:, 0].astype(np.int64) * sample.n + sample.edges[:, 1]
+    key.sort()  # i n + j orders the pairs as (i, j) does, since j < n
     with open(path, "w", encoding="ascii") as fh:
-        for i, j in sorted(sample.edges):
-            fh.write(f"{i} {j}\n")
+        for start in range(0, len(key), _WRITE_BLOCK):
+            i, j = np.divmod(key[start : start + _WRITE_BLOCK], sample.n)
+            fh.write("".join(f"{a} {b}\n" for a, b in zip(i.tolist(), j.tolist())))

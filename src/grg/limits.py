@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError(f"theorem must be one of {EXPERIMENT_KINDS}, got {self.theorem!r}")
         if not self.n_grid or any(int(n) < 2 for n in self.n_grid):
             raise ConfigError("n_grid must be non-empty with every n >= 2")
+        if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError(f"n_grid must be strictly increasing, got {self.n_grid}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.theorem in ("T1", "T2") and self.replications < 100:

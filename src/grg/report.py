@@ -69,16 +69,29 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+def _integral(value, field: str) -> int:
+    """An integral JSON number, such as 100 or 1e6; a bool, a string or a fraction is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ConfigError(f"config field {field!r} must be integral, got {value!r}")
+    return int(value)
+
+
+def _array(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"config field {field!r} must be an array, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The config of a JSON object; an optional "sampler" key must read "fast"."""
     try:
         config = ExperimentConfig(
             model=model_from_config(raw["model"]),
-            n_grid=tuple(int(n) for n in raw["n_grid"]),
-            replications=int(raw["replications"]),
-            master_seed=int(raw["master_seed"]),
+            n_grid=tuple(_integral(n, "n_grid") for n in _array(raw["n_grid"], "n_grid")),
+            replications=_integral(raw["replications"], "replications"),
+            master_seed=_integral(raw["master_seed"], "master_seed"),
             theorem=str(raw["theorem"]),
-            t_values=tuple(float(t) for t in raw.get("t_values", [1.0])),
+            t_values=tuple(float(t) for t in _array(raw.get("t_values", [1.0]), "t_values")),
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required field {exc}") from None

@@ -258,6 +258,8 @@ class Moments(NamedTuple):
 
 class LemmaRatios(NamedTuple):
     x: float
+    trunc_second_exact: float  # E[W^2; W <= x]
+    tail_first_exact: float  # E[W; W >= x]
     ratio_second: float
     ratio_tail_karamata: float
     ratio_tail_alt: float
@@ -458,7 +460,8 @@ def lemma1_ratio_check(model: WeightModel, x_grid) -> list[LemmaRatios]:
         alt = tp.c * (2.0 - tp.alpha) / (tp.alpha - 1.0) * x ** (1.0 - tp.alpha) * h
         if asym2 == 0.0 or karamata == 0.0 or alt == 0.0:
             raise ParameterError(f"an asymptote underflows to 0 at x={x}")
-        out.append(LemmaRatios(x, exact2 / asym2, exact_tail / karamata, exact_tail / alt))
+        out.append(LemmaRatios(x, exact2, exact_tail, exact2 / asym2, exact_tail / karamata,
+                               exact_tail / alt))
     return out
 
 
@@ -538,6 +541,8 @@ def model_from_config(config: dict) -> WeightModel:
     cls = _MODEL_TAGS.get(str(kind).lower())
     if cls is None:
         raise ParameterError(f"unknown model kind {kind!r}")
+    if any(isinstance(v, bool) for v in config.values()):
+        raise ParameterError(f"parameters of {kind} must be numbers, got {config}")
     params = {
         _FIELD_ALIASES.get(k, k): float(v) for k, v in config.items() if k != "kind"
     }

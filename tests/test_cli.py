@@ -311,9 +311,8 @@ _PACKAGE_NAMES = (
     "ExponentialWeights GammaWeights LemmaRatios LogNormalWeights Moments ParetoLogWeights "
     "ParetoWeights TailParams WeightModel WeightVector analytic_moments compute_norming "
     "lemma1_ratio_check model_from_config model_to_config sample_weights tail_params "
-    "truncated_first_moment_tail truncated_second_moment EdgeCountPmf GraphSample NAIVE_MAX_N "
-    "conditional_edge_mean edge_probability exact_edge_count_pmf pair_sums "
-    "sample_graph_fast sample_graph_naive write_edge_list StableParams sample_stable "
+    "truncated_first_moment_tail truncated_second_moment GraphSample "
+    "conditional_edge_mean pair_sums sample_graph_fast write_edge_list StableParams sample_stable "
     "stable_cdf_batch KsResult kolmogorov_sf "
     "ks_one_sample ks_two_sample normal_cdf AuditResult AuditTerms ExperimentConfig LimitResult "
     "LlnResult normal_limit_statistic proof_audit run_experiment "
@@ -566,6 +565,15 @@ TINY_T1 = {"model": {"kind": "exponential", "rate": 1.0}, "n_grid": [20], "repli
 REQUIRED_FIELDS = ("model", "n_grid", "replications", "master_seed", "theorem")
 JUNK = [None, "x", [None], math.nan, math.inf, -math.inf]
 # Values that no field of TINY_T1 accepts, by field.
+# Values that each ran, until they were refused, with other values in their place.
+READ_AS_OTHER_VALUES = {
+    "model": [{"kind": "exponential", "rate": True},
+              {"kind": "pareto", "alpha": 1.5, "xm": True}],
+    "n_grid": [[200.7, 5000], "59", [5000, 200], [20, 20], [True, 30], ["20"]],
+    "replications": [100.9, True, "100"],
+    "master_seed": [1.5, True, "3"],
+    "t_values": ["10"],
+}
 INVALID_FIELDS = {
     "model": JUNK + [[], {}, {"kind": "nosuch"}, {"kind": "exponential"},
                      {"kind": "exponential", "rate": -1.0},
@@ -578,6 +586,8 @@ INVALID_FIELDS = {
     "sampler": JUNK + [5, "slow", ""],
     "t_values": JUNK + [5, ["x"], [math.nan], [math.inf]],
 }
+for _key, _values in READ_AS_OTHER_VALUES.items():
+    INVALID_FIELDS[_key] = INVALID_FIELDS[_key] + _values
 
 
 def invalid_field():
@@ -606,6 +616,16 @@ class TestMalformedInput:
                              "--out", str(root / "out"), "--threads", "1"])
         assert code in (1, 2) and "Traceback" not in err, (config, err)
         assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [(key, value) for key, values in
+                                            READ_AS_OTHER_VALUES.items() for value in values])
+    def test_config_field_never_read_as_another_value(self, tmp_path, key, value):
+        """A fraction, a bool, a string or an unordered grid is a config error, not a rounding."""
+        (tmp_path / "c.json").write_text(json.dumps({**TINY_T1, key: value}))
+        code, err = run_cli(["experiment", "--config", str(tmp_path / "c.json"),
+                             "--out", str(tmp_path / "out"), "--threads", "1"])
+        assert code == 1 and err.startswith("config error:"), err
+        assert not (tmp_path / "out").exists()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(raw=st.one_of(st.text(max_size=30), st.binary(max_size=30),

@@ -1,5 +1,6 @@
 """Graph samplers against exact pair probabilities and the exact pmf."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -11,7 +12,6 @@ import grg.graph
 import grg.weights
 from grg import (
     ConstantWeights,
-    DomainError,
     ExponentialWeights,
     GammaWeights,
     LogNormalWeights,
@@ -21,17 +21,15 @@ from grg import (
     SizeError,
     WeightVector,
     conditional_edge_mean,
-    edge_probability,
-    exact_edge_count_pmf,
     ks_two_sample,
     sample_graph_fast,
-    sample_graph_naive,
     sample_weights,
     write_edge_list,
 )
-from grg.graph import NAIVE_MAX_N
+from grg.cli import main as cli_main
 from grg.limits import replication_weights
 from grg.seeding import derive_seed
+from oracles import NAIVE_MAX_N, exact_pmf, pair_probabilities, sample_graph_naive
 
 
 def brute_force_pmf(values):
@@ -57,80 +55,34 @@ def empirical_pmf(sampler, weights, n_seeds, max_count):
     return counts / n_seeds
 
 
-class TestEdgeProbability:
-    def test_examples(self):
-        assert edge_probability(1.0, 1.0, 3.0) == 0.25
-        assert edge_probability(0.0, 5.0, 10.0) == 0.0
-
-    def test_er_special_case(self):
-        # constant weight 2.5 over n=10 vertices reproduces p = lam/n = 0.2
-        assert edge_probability(2.5, 2.5, 25.0) == pytest.approx(0.2, abs=4 * math.ulp(0.2))
-
-    def test_symmetry_and_monotonicity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a, b, l_n = rng.uniform(0.1, 50, 3)
-            assert edge_probability(a, b, l_n) == edge_probability(b, a, l_n)
-            assert edge_probability(a * 1.5, b, l_n) > edge_probability(a, b, l_n)
-
-    def test_common_weight_scaling_increases_p(self):
-        """Scaling every weight by s > 1 raises each pair probability."""
-        w = np.array([0.5, 1.0, 2.0, 4.0])
-        l_n = float(w.sum())
-        for s in (1.5, 3.0, 10.0):
-            for i, j in itertools.combinations(range(4), 2):
-                assert edge_probability(s * w[i], s * w[j], s * l_n) > edge_probability(
-                    w[i], w[j], l_n
-                )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            edge_probability(1.0, 1.0, 0.0)
-
-
 class TestExactPmf:
     def test_single_edge(self):
-        pmf = exact_edge_count_pmf(WeightVector.from_values([1.0, 1.0]))
-        np.testing.assert_allclose(pmf.probabilities, [2 / 3, 1 / 3])
+        pmf = exact_pmf(WeightVector.from_values([1.0, 1.0]))
+        np.testing.assert_allclose(pmf, [2 / 3, 1 / 3])
 
     def test_three_equal_weights_binomial(self):
-        pmf = exact_edge_count_pmf(WeightVector.from_values([1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(pmf.probabilities, np.array([27, 27, 9, 1]) / 64)
+        pmf = exact_pmf(WeightVector.from_values([1.0, 1.0, 1.0]))
+        np.testing.assert_allclose(pmf, np.array([27, 27, 9, 1]) / 64)
 
     def test_mixed_weights(self):
         # p12=1/4, p13=1/3, p23=1/2 -> [6, 11, 6, 1]/24
-        pmf = exact_edge_count_pmf(WeightVector.from_values([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(pmf.probabilities, np.array([6, 11, 6, 1]) / 24)
+        pmf = exact_pmf(WeightVector.from_values([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(pmf, np.array([6, 11, 6, 1]) / 24)
 
     @pytest.mark.parametrize("values", [[0.5, 1, 2, 4], [1, 1, 2, 3, 5], [2, 2, 2, 2, 2, 2]])
     def test_against_brute_force(self, values):
-        pmf = exact_edge_count_pmf(WeightVector.from_values(values))
-        np.testing.assert_allclose(pmf.probabilities, brute_force_pmf(values), atol=1e-12)
+        pmf = exact_pmf(WeightVector.from_values(values))
+        np.testing.assert_allclose(pmf, brute_force_pmf(values), atol=1e-12)
 
     def test_normalization_and_mean(self):
         wv = WeightVector.from_values([0.3, 1.1, 2.2, 0.7, 5.0])
-        pmf = exact_edge_count_pmf(wv)
-        assert abs(pmf.probabilities.sum() - 1.0) < 1e-12
-        mean_direct = sum(
-            edge_probability(wv.values[i], wv.values[j], wv.sum_l)
-            for i in range(5)
-            for j in range(i + 1, 5)
-        )
-        assert abs(pmf.mean - mean_direct) < 1e-10
-
-    def test_size_cap(self):
-        with pytest.raises(SizeError):
-            exact_edge_count_pmf(WeightVector.from_values(np.ones(13)))
+        pmf = exact_pmf(wv)
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        assert abs(pmf_mean(pmf) - pair_probabilities(wv).sum()) < 1e-10
 
 
-def dense_pair_sum(weights):
-    """sum_{i<j} W_i W_j / (L + W_i W_j), one row at a time."""
-    w = weights.values
-    total = 0.0
-    for i in range(weights.n - 1):
-        prod = w[i] * w[i + 1 :]
-        total += float((prod / (weights.sum_l + prod)).sum())
-    return total
+def pmf_mean(pmf):
+    return float(np.dot(np.arange(len(pmf)), pmf))
 
 
 class TestConditionalEdgeMean:
@@ -138,7 +90,7 @@ class TestConditionalEdgeMean:
     def test_matches_exact_pmf_mean(self, n):
         for model in (ExponentialWeights(1.0), ParetoWeights(1.5, 1.0)):
             wv = sample_weights(model, n, seed=n)
-            expected = exact_edge_count_pmf(wv).mean
+            expected = pmf_mean(exact_pmf(wv))
             assert conditional_edge_mean(wv) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -156,19 +108,22 @@ class TestConditionalEdgeMean:
     def test_matches_dense_sum(self, model):
         for seed in (1, 2):
             wv = sample_weights(model, 2000, seed)
-            assert conditional_edge_mean(wv) == pytest.approx(dense_pair_sum(wv), rel=1e-12)
+            assert conditional_edge_mean(wv) == pytest.approx(pair_probabilities(wv).sum(),
+                                                              rel=1e-12)
 
     def test_pairs_above_the_series_cut(self):
         """Dominant weights put most pairs past the series; still exact."""
         values = np.concatenate([np.full(40, 500.0), np.linspace(0.1, 3.0, 300)])
         wv = WeightVector.from_values(values)
-        assert conditional_edge_mean(wv) == pytest.approx(dense_pair_sum(wv), rel=1e-12)
+        assert conditional_edge_mean(wv) == pytest.approx(pair_probabilities(wv).sum(),
+                                                          rel=1e-12)
 
     def test_weights_whose_powers_overflow(self):
         """A vertex with u^14 past the float range has its pairs summed exactly."""
         for values in ([1e50, 3.0, 2.0, 1.0, 1e-3], [1e50, 1e49, 3.0, 1e-3, 1e-9], [1e60, 1e60]):
             wv = WeightVector.from_values(values)
-            assert conditional_edge_mean(wv) == pytest.approx(dense_pair_sum(wv), rel=1e-12)
+            assert conditional_edge_mean(wv) == pytest.approx(pair_probabilities(wv).sum(),
+                                                              rel=1e-12)
 
     def test_large_pairs_in_small_blocks(self, monkeypatch):
         """Large pairs split into blocks of a few rows, and rows longer than a block."""
@@ -178,7 +133,8 @@ class TestConditionalEdgeMean:
         for block in (1, 7, 100):
             monkeypatch.setattr(grg.graph, "_PAIR_BLOCK", block)
             assert conditional_edge_mean(wv) == pytest.approx(expected, rel=1e-13)
-            assert conditional_edge_mean(wv) == pytest.approx(dense_pair_sum(wv), rel=1e-12)
+            assert conditional_edge_mean(wv) == pytest.approx(pair_probabilities(wv).sum(),
+                                                              rel=1e-12)
 
     @pytest.mark.parametrize("n", [10, 1000, 100_000])
     def test_constant_weights(self, n):
@@ -239,7 +195,7 @@ class TestSamplers:
     def test_tv_against_exact_pmf_n6(self):
         """Empirical pmfs over 1e5 seeds within TV 0.02 of the exact law at n=6."""
         wv = WeightVector.from_values([0.4, 0.8, 1.0, 1.5, 2.5, 6.0])
-        exact = exact_edge_count_pmf(wv).probabilities
+        exact = exact_pmf(wv)
         for sampler in (sample_graph_naive, sample_graph_fast):
             emp = empirical_pmf(sampler, wv, 100_000, len(exact) - 1)
             assert 0.5 * np.abs(emp - exact).sum() <= 0.02, sampler
@@ -309,13 +265,6 @@ class TestSamplers:
             write_edge_list(g, "/tmp/never.txt")
 
 
-def pair_probabilities(weights):
-    """Dense p_ij over i < j, for checks at small n."""
-    w = weights.values
-    prod = np.outer(w, w)[np.triu_indices(weights.n, 1)]
-    return prod / (weights.sum_l + prod)
-
-
 def assert_pair_frequencies(weights, reps=5000):
     """Each pair's edge frequency over ``reps`` fast graphs matches p_ij.
 
@@ -325,7 +274,7 @@ def assert_pair_frequencies(weights, reps=5000):
     p = pair_probabilities(weights)
     counts = np.zeros((weights.n, weights.n))
     for s in range(reps):
-        i, j = np.array(sample_graph_fast(weights, s, store_edges=True).edges).reshape(-1, 2).T
+        i, j = sample_graph_fast(weights, s, store_edges=True).edges.T
         counts[i, j] += 1
     hits = counts[np.triu_indices(weights.n, 1)]
     spread = reps * p * (1.0 - p)
@@ -408,8 +357,8 @@ class TestBucketThinning:
         for seed in range(40):
             g = sample_graph_fast(wv, seed, store_edges=True)
             assert g.candidates_examined == 60 * 59 // 2
-            assert len(set(g.edges)) == g.edge_count
-            seen[tuple(np.array(g.edges).T)] = True
+            assert len(np.unique(g.edges, axis=0)) == g.edge_count
+            seen[tuple(g.edges.T)] = True
         assert seen[np.triu_indices(60, 1)].all()
 
     def test_stored_edges_rebuild_degrees(self, monkeypatch):
@@ -426,7 +375,7 @@ class TestBucketThinning:
             assert int(g.degrees.sum()) == 2 * g.edge_count
         assert g.candidates_examined > 100 * 16
         empty = sample_graph_fast(WeightVector.from_values(np.full(50, 1e-6)), 1, store_edges=True)
-        assert empty.edges == [] and empty.edge_count == 0
+        assert empty.edges.shape == (0, 2) and empty.edge_count == 0
 
     def test_tiny_envelopes_do_not_overflow(self):
         """Envelopes of about 3e-22 between the light weights: no index overflow."""
@@ -500,3 +449,13 @@ class TestMemoryAndStreams:
             g = sample_graph_fast(wv, derive_seed(master_seed, 2 * rep + 1))
             got.append((g.edge_count, g.candidates_examined, int(g.degrees @ np.arange(n))))
         assert got == expected
+
+    def test_edge_dump_is_pinned(self, tmp_path):
+        """The sha256 of a `grg sample --edges` dump of 4,091 lines: the sampler and the writer."""
+        dump = tmp_path / "edges.txt"
+        assert cli_main(["sample", "--model", "pareto:alpha=1.5,xm=1", "--n", "3000", "--seed",
+                         "1", "--out", str(tmp_path / "summary.json"), "--edges", str(dump)]) == 0
+        data = dump.read_bytes()
+        assert data.count(b"\n") == 4091
+        assert hashlib.sha256(data).hexdigest() == (
+            "9c95be250f6002413ab66144984a194310a94f2fe2d323cfeb84b5aff48d6529")

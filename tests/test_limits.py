@@ -174,6 +174,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(ExponentialWeights(1.0), (100,), 100, 1, "T3")
 
+    @pytest.mark.parametrize("n_grid", [(5000, 200), (200, 200), (100, 300, 200)])
+    def test_grid_must_increase(self, n_grid):
+        """Trend verdicts read along the grid, so a grid out of order is refused."""
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            ExperimentConfig(ExponentialWeights(1.0), n_grid, 100, 1, "LLN")
+
     def test_bad_sampler(self):
         """A config may omit "sampler" or name the one sampler; any other value is refused."""
         raw = {"model": {"kind": "exponential", "rate": 1.0}, "n_grid": [100],
