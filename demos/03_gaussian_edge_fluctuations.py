@@ -29,5 +29,5 @@ for label, model, grid, reps in (
             f"{run.n:>6} {run.ks.d_stat:>9.4f} {run.ks.p_value:>9.4f} "
             f"{run.statistic.mean():>8.4f} {run.statistic.std():>7.4f}"
         )
-    print(f"KS distance non-increasing along the grid: {res.trend_nonincreasing}")
+    print(f"KS distance non-increasing along the grid: {res.trends['trend']['nonincreasing']}")
     print()

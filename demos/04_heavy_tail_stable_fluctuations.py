@@ -52,7 +52,7 @@ for run in res.runs:
         f"{np.median(run.deficits):>13.4f} "
         f"{run.ks_compensated.d_stat:>8.4f} {run.ks_compensated.p_value:>8.3f}"
     )
-print(f"KS distance decreasing: {res.ks_d_trend[0] > res.ks_d_trend[-1]}")
+print(f"KS distance non-increasing along the grid: {res.trends['trend']['nonincreasing']}")
 print("(the deficit decays like n^(-1/6) log n; see module docstring)")
 
 print()

@@ -43,7 +43,7 @@ for point in res.runs:
     row = f"{point.n:>8} {point.a_n:>9.1f}" + "".join(f"{med[name]:>15.5f}" for name in names)
     print(row)
 
-trends = res.median_trends()[1.0]
+trends = res.trends["median_trends_decreasing"]["1.0"]
 print()
 print("strictly decreasing medians:", trends)
 print(f"audit time for the whole grid: {elapsed:.1f} s")
@@ -53,4 +53,4 @@ print("exact pair-moment terms:")
 print(f"{'n':>8} {'small-product term':>20} {'large-product term':>20}")
 for point in res.runs:
     print(f"{point.n:>8} {point.pair_moment_small:>20.4f} {point.pair_moment_large:>20.4f}")
-print("trend verdicts:", res.pair_moment_trends())
+print("trend verdicts:", res.trends["pair_moment_trends_decreasing"])

@@ -29,7 +29,7 @@ _EXPORTS = {
     "graph": "GraphSample conditional_edge_mean pair_sums sample_graph_fast write_edge_list",
     "stable": "StableParams sample_stable stable_cdf_batch",
     "stats": "KsResult kolmogorov_sf ks_one_sample ks_two_sample normal_cdf",
-    "limits": "AuditResult AuditTerms ExperimentConfig LimitResult LlnResult "
+    "limits": "AuditTerms ExperimentConfig ExperimentResult "
               "normal_limit_statistic proof_audit run_experiment run_gaussian_limit run_lln "
               "run_proof_audit run_stable_limit stable_limit_statistic",
     "report": "RunManifest config_from_dict config_to_dict emit_report read_run",

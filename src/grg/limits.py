@@ -23,8 +23,8 @@ Three Monte Carlo experiments and one deterministic audit:
 
 Each run is ``simulate`` (replications -> per-n table) followed by
 ``derive_result`` (table -> result), the only place that computes KS
-tests, deficits and trends; ``grg report`` calls it on the table that
-it reads back from a finished run.
+tests, deficits and trends, which live in ``ExperimentResult.trends``;
+``grg report`` calls it on the table that it reads back from a run.
 
 Replications are independent tasks seeded by ``derive_seed`` from the
 master seed and reduced in replication order, so results are identical
@@ -56,9 +56,7 @@ from .weights import (
 __all__ = [
     "ExperimentConfig",
     "AuditTerms",
-    "LimitResult",
-    "LlnResult",
-    "AuditResult",
+    "ExperimentResult",
     "normal_limit_statistic",
     "stable_limit_statistic",
     "run_gaussian_limit",
@@ -133,7 +131,6 @@ class AuditTerms:
     t_b: float
     t_c: float
     t_d: float
-    remainder_coeff_bound: float = 0.5
 
 
 def normal_limit_statistic(edge_count, n: int, ew: float, var_w: float):
@@ -376,45 +373,36 @@ class AuditGridPoint:
 
 
 @dataclass(eq=False)
-class LimitResult:
-    """A T1 or T2 result: one GaussianLimitRun or StableLimitRun per n."""
+class ExperimentResult:
+    """A run per n (GaussianLimitRun, StableLimitRun, LlnRun or AuditGridPoint)
+    and ``trends``, the run-level blocks of ``summary.json``: ``trend`` for T1
+    and T2, the strict ``*_trends_decreasing`` verdicts for the audit, none for
+    LLN."""
 
     config: ExperimentConfig
     runs: list
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ks_d_trend(self) -> list[float]:
-        return [r.ks.d_stat for r in self.runs]
-
-    @property
-    def trend_nonincreasing(self) -> bool:
-        d = self.ks_d_trend
-        return all(b <= a for a, b in zip(d, d[1:]))
-
-
-@dataclass(eq=False)
-class LlnResult:
-    config: ExperimentConfig
-    runs: list[LlnRun]
+    trends: dict
     elapsed_seconds: float = 0.0
 
 
-@dataclass(eq=False)
-class AuditResult:
-    config: ExperimentConfig
-    runs: list[AuditGridPoint]
-    elapsed_seconds: float = 0.0
+def _ks_trend(runs: list) -> dict:
+    d = [r.ks.d_stat for r in runs]
+    return {"trend": {"metric": "ks_d", "values": d,
+                      "nonincreasing": all(b <= a for a, b in zip(d, d[1:]))}}
 
-    def median_trends(self) -> dict[float, dict[str, bool]]:
-        """Whether each term's median strictly decreases along the n grid."""
-        per_point = [p.medians() for p in self.runs]
-        return {t: {name: _decreasing([m[t][name] for m in per_point]) for name in AUDIT_TERM_NAMES}
-                for t in per_point[0]}
 
-    def pair_moment_trends(self) -> dict[str, bool]:
-        return {name: _decreasing([getattr(p, name) for p in self.runs])
-                for name in ("pair_moment_small", "pair_moment_large")}
+def _audit_trends(points: list[AuditGridPoint]) -> dict:
+    medians = [p.medians() for p in points]
+    return {
+        "median_trends_decreasing": {
+            str(t): {name: _decreasing([m[t][name] for m in medians]) for name in AUDIT_TERM_NAMES}
+            for t in medians[0]
+        },
+        "pair_moment_trends_decreasing": {
+            name: _decreasing([getattr(p, name) for p in points])
+            for name in ("pair_moment_small", "pair_moment_large")
+        },
+    }
 
 
 def _decreasing(values: list[float]) -> bool:
@@ -455,27 +443,29 @@ def simulate(config: ExperimentConfig, threads: int = 1) -> list[tuple]:
     return table
 
 
-_DERIVATIONS = {
-    "T1": (_gaussian_run, LimitResult),
-    "T2": (_stable_run, LimitResult),
-    "LLN": (_lln_run, LlnResult),
-    "AUDIT": (lambda config, n, *row: AuditGridPoint(n, *row), AuditResult),
+_DERIVATIONS = {  # kind -> (table row -> run, runs -> trends)
+    "T1": (_gaussian_run, _ks_trend),
+    "T2": (_stable_run, _ks_trend),
+    "LLN": (_lln_run, lambda runs: {}),
+    "AUDIT": (lambda config, n, *row: AuditGridPoint(n, *row), _audit_trends),
 }
 
 
-def derive_result(config: ExperimentConfig, table: list[tuple], elapsed_seconds: float = 0.0):
+def derive_result(config: ExperimentConfig, table: list[tuple],
+                  elapsed_seconds: float = 0.0) -> ExperimentResult:
     """Table -> result, the one place that computes KS tests, deficits and trends.
 
     ``table`` has the layout that :func:`simulate` returns; ``grg
-    report`` rebuilds it from a run's CSV and calls this as well.
+    report`` rebuilds it from a run's CSV and calls this as well.  The
+    trends go to ``ExperimentResult.trends``, for ``summary.json``.
     """
     _check_hypothesis(config)
-    derive_run, result_type = _DERIVATIONS[config.theorem]
+    derive_run, derive_trends = _DERIVATIONS[config.theorem]
     runs = [derive_run(config, int(n), *row) for n, row in zip(config.n_grid, table, strict=True)]
-    return result_type(config, runs, elapsed_seconds)
+    return ExperimentResult(config, runs, derive_trends(runs), elapsed_seconds)
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1):
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Simulate, then derive the result; ``elapsed_seconds`` covers both."""
     t0 = time.perf_counter()
     result = derive_result(config, simulate(config, threads))
@@ -489,12 +479,12 @@ def _run_kind(kind: str, config: ExperimentConfig, threads: int):
     return run_experiment(config, threads)
 
 
-def run_gaussian_limit(config: ExperimentConfig, threads: int = 1) -> LimitResult:
+def run_gaussian_limit(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """KS of the normalized edge count against the standard normal, per n."""
     return _run_kind("T1", config, threads)
 
 
-def run_stable_limit(config: ExperimentConfig, threads: int = 1) -> LimitResult:
+def run_stable_limit(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Two-sample KS between the weight-sum and edge statistics, per n.
 
     Both statistics come from the same replications, so their dependence
@@ -506,12 +496,12 @@ def run_stable_limit(config: ExperimentConfig, threads: int = 1) -> LimitResult:
     return _run_kind("T2", config, threads)
 
 
-def run_lln(config: ExperimentConfig, threads: int = 1) -> LlnResult:
+def run_lln(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Mean and spread of E_n/n per n; the target is EW/2."""
     return _run_kind("LLN", config, threads)
 
 
-def run_proof_audit(config: ExperimentConfig, threads: int = 1) -> AuditResult:
+def run_proof_audit(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Audit-term trajectories over the n grid, one weight draw per seed.
 
     Normings follow the heavy-tailed convention c_n = a_n / 2 because

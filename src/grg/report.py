@@ -27,7 +27,7 @@ from .limits import (
     AUDIT_TERM_NAMES,
     AuditTerms,
     ExperimentConfig,
-    LimitResult,
+    ExperimentResult,
     audit_pair_moments,
     derive_result,
     replicate_edges,
@@ -69,11 +69,14 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _integral(value, field: str) -> int:
-    """An integral JSON number, such as 100 or 1e6; a bool, a string or a fraction is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ConfigError(f"config field {field!r} must be integral, got {value!r}")
-    return int(value)
+def _number(value, field: str, integral: bool = False):
+    """A JSON number, such as 0.5 or 1e6; a bool or a string is refused, and a
+    fraction too where ``integral``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            integral and value != int(value)):
+        what = "integral" if integral else "a number"
+        raise ConfigError(f"config field {field!r} must be {what}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def _array(value, field: str) -> list:
@@ -87,11 +90,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
         config = ExperimentConfig(
             model=model_from_config(raw["model"]),
-            n_grid=tuple(_integral(n, "n_grid") for n in _array(raw["n_grid"], "n_grid")),
-            replications=_integral(raw["replications"], "replications"),
-            master_seed=_integral(raw["master_seed"], "master_seed"),
+            n_grid=tuple(_number(n, "n_grid", True) for n in _array(raw["n_grid"], "n_grid")),
+            replications=_number(raw["replications"], "replications", True),
+            master_seed=_number(raw["master_seed"], "master_seed", True),
             theorem=str(raw["theorem"]),
-            t_values=tuple(float(t) for t in _array(raw.get("t_values", [1.0]), "t_values")),
+            t_values=tuple(_number(t, "t_values")
+                           for t in _array(raw.get("t_values", [1.0]), "t_values")),
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required field {exc}") from None
@@ -287,7 +291,7 @@ _KINDS = {
 }
 
 
-def emit_report(result, out_dir) -> RunManifest:
+def emit_report(result: ExperimentResult, out_dir) -> RunManifest:
     """Write result.csv / audit.csv, summary.json, figures and manifest.
 
     Returns the manifest, which lists every emitted file.  Raises
@@ -305,6 +309,7 @@ def emit_report(result, out_dir) -> RunManifest:
         "kind": config.theorem,
         "config": config_to_dict(config),
         "results": [summary_row(run) for run in result.runs],
+        **result.trends,
     }
     if config.theorem == "AUDIT":
         outputs = ["audit.csv"]
@@ -314,10 +319,6 @@ def emit_report(result, out_dir) -> RunManifest:
             for k, term in enumerate(point.terms):
                 values = ",".join(repr(getattr(term, name)) for name in _AUDIT_FIELDS)
                 lines.append(f"{term.n},{k // n_t},{values}")
-        summary["median_trends_decreasing"] = {
-            str(t): trend for t, trend in result.median_trends().items()
-        }
-        summary["pair_moment_trends_decreasing"] = result.pair_moment_trends()
         summary["remainder_coeff_bound"] = 0.5
     else:
         outputs = ["result.csv"]
@@ -328,9 +329,6 @@ def emit_report(result, out_dir) -> RunManifest:
                 lines.append(f"{run.n},{rep},{float(stat)!r},{int(ec)},{float(l_n)!r}")
             outputs.append(f"hist_{run.n}.svg")
             figure(out / outputs[-1], run)
-    if isinstance(result, LimitResult):
-        summary["trend"] = {"metric": "ks_d", "values": result.ks_d_trend,
-                            "nonincreasing": result.trend_nonincreasing}
     _write_lines(out / outputs[0], lines)
     _json_dump(out / "summary.json", summary)
     manifest = RunManifest(
@@ -393,6 +391,8 @@ def _read_result_table(path: Path, config: ExperimentConfig, threads: int):
         if [row[:2] for row in block] != [[n, rep] for rep in range(reps)]:
             raise ConfigError(f"result.csv rows at n={n} are not replications 0..{reps - 1}")
         _, _, statistic, edge_counts, weight_sums = zip(*block)
+        if max(edge_counts) > n * (n - 1) // 2:
+            raise ConfigError(f"result.csv has an edge count above n(n-1)/2 at n={n}")
         weight_sums = np.array(weight_sums, dtype=float)
         cond_means = None
         if config.theorem == "T2":

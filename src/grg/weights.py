@@ -541,7 +541,8 @@ def model_from_config(config: dict) -> WeightModel:
     cls = _MODEL_TAGS.get(str(kind).lower())
     if cls is None:
         raise ParameterError(f"unknown model kind {kind!r}")
-    if any(isinstance(v, bool) for v in config.values()):
+    if any(isinstance(v, bool) or not isinstance(v, (int, float))
+           for k, v in config.items() if k != "kind"):
         raise ParameterError(f"parameters of {kind} must be numbers, got {config}")
     params = {
         _FIELD_ALIASES.get(k, k): float(v) for k, v in config.items() if k != "kind"

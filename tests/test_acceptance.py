@@ -174,7 +174,7 @@ def test_07_proof_audit_trends():
         theorem="AUDIT", t_values=(1.0,),
     )
     res = run_proof_audit(cfg)
-    trends = res.median_trends()[1.0]
+    trends = res.trends["median_trends_decreasing"]["1.0"]
     elapsed = time.perf_counter() - t0
     ok = all(trends.values()) and elapsed <= 300.0
     assert verdict(

@@ -25,6 +25,14 @@ from grg import ExponentialWeights, ParameterError, ParetoWeights
 
 PARETO = {"kind": "pareto", "alpha": 1.5, "xm": 1.0}
 PARETOLOG = {"kind": "paretolog", "alpha": 1.5, "xm": 1.0}
+# One small run per experiment kind, as overrides of write_config's T1 config.
+TINY_RUNS = {
+    "T1": {},
+    "T2": {"model": PARETO, "theorem": "T2", "n_grid": [60, 150], "replications": 100},
+    "LLN": {"theorem": "LLN", "n_grid": [400], "replications": 30},
+    "AUDIT": {"model": PARETO, "theorem": "AUDIT", "n_grid": [60, 150], "replications": 4,
+              "t_values": [0.5, 1.0]},
+}
 
 
 def write_config(path, **overrides):
@@ -117,13 +125,21 @@ class TestExperimentCommand:
         produced = {p.name for p in out.iterdir()}
         assert listed == produced
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path / "t1.json")
+    @pytest.mark.parametrize("kind", sorted(TINY_RUNS))
+    def test_rerun_is_byte_identical(self, tmp_path, kind):
+        """The CSV, summary.json and every SVG are the same bytes for --threads 1 and 2."""
+        cfg = write_config(tmp_path / "c.json", **TINY_RUNS[kind])
+        command = "audit" if kind == "AUDIT" else "experiment"
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["experiment", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
-        main(["experiment", "--config", str(cfg), "--out", str(out2), "--threads", "2"])
-        assert (out1 / "result.csv").read_bytes() == (out2 / "result.csv").read_bytes()
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+        for out, threads in ((out1, "1"), (out2, "2")):
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 0
+        payload = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert payload == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+        assert "summary.json" in payload and any(name.endswith(".csv") for name in payload)
+        assert (kind == "AUDIT") != any(name.endswith(".svg") for name in payload)
+        for name in payload:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_seed_flag_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "t1.json")
@@ -258,15 +274,8 @@ class TestLemma1Command:
 def finished_runs(tmp_path_factory):
     """One small finished run directory per experiment kind."""
     root = tmp_path_factory.mktemp("runs")
-    configs = {
-        "T1": {},
-        "T2": {"model": PARETO, "theorem": "T2", "n_grid": [60, 150], "replications": 100},
-        "LLN": {"theorem": "LLN", "n_grid": [400], "replications": 30},
-        "AUDIT": {"model": PARETO, "theorem": "AUDIT", "n_grid": [60, 150],
-                  "replications": 4, "t_values": [0.5, 1.0]},
-    }
     runs = {}
-    for kind, overrides in configs.items():
+    for kind, overrides in TINY_RUNS.items():
         cfg = write_config(root / f"{kind}.json", **overrides)
         runs[kind] = root / kind
         command = "audit" if kind == "AUDIT" else "experiment"
@@ -314,8 +323,8 @@ _PACKAGE_NAMES = (
     "truncated_first_moment_tail truncated_second_moment GraphSample "
     "conditional_edge_mean pair_sums sample_graph_fast write_edge_list StableParams sample_stable "
     "stable_cdf_batch KsResult kolmogorov_sf "
-    "ks_one_sample ks_two_sample normal_cdf AuditResult AuditTerms ExperimentConfig LimitResult "
-    "LlnResult normal_limit_statistic proof_audit run_experiment "
+    "ks_one_sample ks_two_sample normal_cdf AuditTerms ExperimentConfig ExperimentResult "
+    "normal_limit_statistic proof_audit run_experiment "
     "run_gaussian_limit run_lln run_proof_audit run_stable_limit stable_limit_statistic "
     "RunManifest config_from_dict config_to_dict emit_report read_run"
 ).split()
@@ -423,6 +432,14 @@ def swap_rows(text: str) -> str:
     return "\n".join(lines)
 
 
+def impossible_edge_count(text: str) -> str:
+    """T1 replication 0 at n = 50 given 10^6 edges, above 50 * 49 / 2, with its statistic."""
+    mom = grg.analytic_moments(ExponentialWeights(1.0), 50)
+    statistic = grg.normal_limit_statistic(10**6, 50, mom.ew, mom.var_w)
+    text = edit_csv(text, 1, 3, lambda f: str(10**6))
+    return edit_csv(text, 1, 2, lambda f: repr(statistic))
+
+
 MALFORMED_RUNS = {
     "manifest-not-json": ("T1", "manifest.json", lambda text: text[:-5]),
     "manifest-without-config": ("T1", "manifest.json", lambda text: '{"outputs": []}'),
@@ -436,6 +453,7 @@ MALFORMED_RUNS = {
     "csv-non-numeric": ("T1", "result.csv", lambda text: edit_csv(text, 1, 3, lambda f: "many")),
     "csv-not-finite": ("T1", "result.csv", lambda text: edit_csv(text, 1, 4, lambda f: "nan")),
     "csv-rows-out-of-order": ("T1", "result.csv", swap_rows),
+    "csv-impossible-edge-count": ("T1", "result.csv", impossible_edge_count),
     "csv-statistic-disagrees": (
         "LLN", "result.csv", lambda text: edit_csv(text, 1, 3, lambda f: str(int(f) + 1))
     ),
@@ -565,15 +583,18 @@ TINY_T1 = {"model": {"kind": "exponential", "rate": 1.0}, "n_grid": [20], "repli
 REQUIRED_FIELDS = ("model", "n_grid", "replications", "master_seed", "theorem")
 JUNK = [None, "x", [None], math.nan, math.inf, -math.inf]
 # Values that no field of TINY_T1 accepts, by field.
-# Values that each ran, until they were refused, with other values in their place.
-READ_AS_OTHER_VALUES = {
-    "model": [{"kind": "exponential", "rate": True},
-              {"kind": "pareto", "alpha": 1.5, "xm": True}],
-    "n_grid": [[200.7, 5000], "59", [5000, 200], [20, 20], [True, 30], ["20"]],
-    "replications": [100.9, True, "100"],
-    "master_seed": [1.5, True, "3"],
-    "t_values": ["10"],
-}
+# (field, value) pairs that each ran, until they were refused, with other values in their
+# place; in the order they were found, which fixes the test ids.
+READ_AS_OTHER_VALUES = [
+    ("model", {"kind": "exponential", "rate": True}),
+    ("model", {"kind": "pareto", "alpha": 1.5, "xm": True}),
+    *(("n_grid", v) for v in ([200.7, 5000], "59", [5000, 200], [20, 20], [True, 30], ["20"])),
+    *(("replications", v) for v in (100.9, True, "100")),
+    *(("master_seed", v) for v in (1.5, True, "3")),
+    ("t_values", "10"),
+    ("model", {"kind": "pareto", "alpha": "2.5", "xm": 1}),  # T1 would run it at alpha = 2.5
+    ("t_values", [True, "2"]),
+]
 INVALID_FIELDS = {
     "model": JUNK + [[], {}, {"kind": "nosuch"}, {"kind": "exponential"},
                      {"kind": "exponential", "rate": -1.0},
@@ -586,8 +607,8 @@ INVALID_FIELDS = {
     "sampler": JUNK + [5, "slow", ""],
     "t_values": JUNK + [5, ["x"], [math.nan], [math.inf]],
 }
-for _key, _values in READ_AS_OTHER_VALUES.items():
-    INVALID_FIELDS[_key] = INVALID_FIELDS[_key] + _values
+for _key, _value in READ_AS_OTHER_VALUES:
+    INVALID_FIELDS[_key] = INVALID_FIELDS[_key] + [_value]
 
 
 def invalid_field():
@@ -617,8 +638,7 @@ class TestMalformedInput:
         assert code in (1, 2) and "Traceback" not in err, (config, err)
         assert not (root / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [(key, value) for key, values in
-                                            READ_AS_OTHER_VALUES.items() for value in values])
+    @pytest.mark.parametrize("key, value", READ_AS_OTHER_VALUES)
     def test_config_field_never_read_as_another_value(self, tmp_path, key, value):
         """A fraction, a bool, a string or an unordered grid is a config error, not a rounding."""
         (tmp_path / "c.json").write_text(json.dumps({**TINY_T1, key: value}))

@@ -233,7 +233,7 @@ class TestStableRun:
             run.statistic, (2.0 * run.edge_counts - 100 * 3.0) / run.a_n
         )
         assert run.ks.n_effective == pytest.approx(75.0)
-        assert len(res.ks_d_trend) == 2
+        assert res.trends["trend"]["values"] == [r.ks.d_stat for r in res.runs]
 
     def test_deficits_and_compensated_ks(self):
         """Deficits rebuilt from the weights; compensated KS thread invariant."""
@@ -303,7 +303,6 @@ class TestProofAudit:
         np.testing.assert_allclose(terms.t_b, 1e4 / 101.0 / 100.0)
         np.testing.assert_allclose(terms.t_c, 1e4 / (100.0 * 101.0) / 10.0)
         np.testing.assert_allclose(terms.t_d, 1e4 / 101.0**2 / 100.0)
-        assert terms.remainder_coeff_bound == 0.5
 
     def test_terms_nonnegative_and_finite(self):
         models = [
@@ -356,8 +355,8 @@ class TestProofAudit:
             ParetoWeights(1.5, 1.0), (100, 1000), 10, 555, "AUDIT", (0.5, 1.0)
         )
         res = run_proof_audit(cfg)
-        trends = res.median_trends()
-        for t in (0.5, 1.0):
+        trends = res.trends["median_trends_decreasing"]
+        for t in ("0.5", "1.0"):
             assert all(trends[t].values()), trends[t]
 
     def test_audit_threads_invariant(self):
@@ -445,10 +444,10 @@ class TestDispatch:
 
     def test_empty_result_refused_before_writing(self, tmp_path):
         from grg import emit_report
-        from grg.limits import LlnResult
+        from grg.limits import ExperimentResult
 
         cfg = ExperimentConfig(ExponentialWeights(1.0), (200,), 100, 11, "LLN")
-        empty = LlnResult(cfg, [])
+        empty = ExperimentResult(cfg, [], {})
         out = tmp_path / "report"
         with pytest.raises(ConfigError):
             emit_report(empty, out)
