@@ -37,7 +37,7 @@ from .errors import (
     SizeError,
     UnsupportedModelError,
 )
-from .graph import sample_graph_fast, write_edge_list
+from .graph import descending_weights, sample_graph_fast, write_edge_list
 from .weights import lemma1_ratio_check, model_from_config, model_to_config, sample_weights
 
 __all__ = ["main"]
@@ -106,6 +106,8 @@ def _cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     seed = _resolve_seed(args, 0)
     weights = sample_weights(model, args.n, seed)
+    if args.edges is None:  # no per-vertex output, so the vertices may be relabelled
+        weights = descending_weights(weights)
     graph = sample_graph_fast(weights, seed + 1, store_edges=args.edges is not None)
     summary = {
         "model": model_to_config(model),

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from grg import (
     write_edge_list,
 )
 from grg.cli import main as cli_main
+from grg.graph import descending_weights
 from grg.limits import replication_weights
 from grg.seeding import derive_seed
 from oracles import NAIVE_MAX_N, exact_pmf, pair_probabilities, sample_graph_naive
@@ -386,6 +388,64 @@ class TestBucketThinning:
             assert g.candidates_examined <= 5 * (wv.n + g.edge_count)
 
 
+class TestDescendingWeights:
+    """Weights in descending order are thinned with no vertex permutation, to the same graph."""
+
+    @staticmethod
+    def assert_relabelled(wv, seed):
+        """The descending copy gives the same graph as ``wv``, its vertices in that order."""
+        desc = descending_weights(wv)
+        assert np.all(desc.values[1:] <= desc.values[:-1])
+        assert (desc.sum_l, desc.sum_sq) == (wv.sum_l, wv.sum_sq)
+        g = sample_graph_fast(wv, seed)
+        h = sample_graph_fast(desc, seed, store_edges=True)
+        assert (h.edge_count, h.candidates_examined) == (g.edge_count, g.candidates_examined)
+        assert np.array_equal(np.bincount(h.edges.ravel(), minlength=wv.n), h.degrees)
+        assert np.all(h.edges[:, 0] < h.edges[:, 1])
+        return g, h
+
+    @pytest.mark.parametrize("n", [300, 20_000])
+    @pytest.mark.parametrize(
+        "model", [ParetoWeights(1.5, 1.0), ParetoLogWeights(1.5, 1.0), ExponentialWeights(1.0)],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_same_graph_as_the_permutation_path(self, model, n):
+        wv = sample_weights(model, n, seed=n + 7)
+        g, h = self.assert_relabelled(wv, n + 8)
+        assert h.edge_count > 0
+        assert np.array_equal(h.degrees, g.degrees[np.argsort(-wv.values)])
+
+    @pytest.mark.parametrize("n", [300, 20_000])
+    def test_constant_weights(self, n):
+        """All ties: the weights are already descending, so both calls thin them as they are."""
+        wv = sample_weights(ConstantWeights(3.0), n, seed=n)
+        g, h = self.assert_relabelled(wv, n + 1)
+        assert h.edge_count > 0
+        assert np.array_equal(h.degrees, g.degrees)
+
+    def test_up_to_eleven_vertices_are_not_sorted(self):
+        """Up to n = 11 the sampler takes every pair in label order, so nothing is relabelled."""
+        wv = WeightVector.from_values([1.0, 3.0, 2.0, 5.0])
+        assert descending_weights(wv) is wv
+
+    def test_grg_sample_summary(self, tmp_path):
+        """`grg sample` relabels its vertices and writes the summary of the draw-order graph."""
+        model, n, seed = ParetoLogWeights(1.5, 1.0), 20_000, 11
+        assert cli_main(["sample", "--model", "paretolog:alpha=1.5,xm=1", "--n", str(n),
+                         "--seed", str(seed), "--out", str(tmp_path / "s.json")]) == 0
+        wv = sample_weights(model, n, seed)
+        assert np.any(wv.values[1:] > wv.values[:-1])  # drawn out of order
+        g = sample_graph_fast(wv, seed + 1)
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary == {
+            "model": {"kind": "paretolog", "alpha": 1.5, "xm": 1.0}, "n": n, "seed": seed,
+            "sampler": "fast", "edge_count": g.edge_count, "edges_per_vertex": g.edge_count / n,
+            "L_n": wv.sum_l, "sum_sq": wv.sum_sq, "degree_min": int(g.degrees.min()),
+            "degree_max": int(g.degrees.max()), "degree_mean": float(g.degrees.mean()),
+            "candidates_examined": g.candidates_examined,
+        }
+
+
 def traced_peaks(n):
     """tracemalloc peaks of sample_weights and of sample_graph_fast on Pareto(1.5) at n.
 
@@ -423,6 +483,24 @@ class TestMemoryAndStreams:
             assert w <= 10 * n + 64 * grg.weights._SUM_BLOCK, (n, w / n)
             assert g.degrees.dtype == np.int64
             assert int(g.degrees.sum()) == 2 * g.edge_count > n
+
+    def test_descending_weights_peak(self):
+        """On descending weights the sampler holds at most 20.5 bytes per vertex, weights included.
+
+        The weights (8), the int32 tally (4) and the int64 degrees (8); a sorted copy
+        and an int32 vertex order would add 12.
+        """
+        n = 10**6
+        tracemalloc.start()
+        try:
+            wv = descending_weights(sample_weights(ParetoLogWeights(1.5, 1.0), n, seed=4242))
+            tracemalloc.reset_peak()
+            g = sample_graph_fast(wv, 4243)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20.5 * n, peak / n
+        assert int(g.degrees.sum()) == 2 * g.edge_count > n
 
     @pytest.mark.parametrize(
         "model, n, master_seed, expected",
