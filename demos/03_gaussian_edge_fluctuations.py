@@ -25,9 +25,10 @@ for label, model, grid, reps in (
     res = run_gaussian_limit(cfg)
     print(f"{'n':>6} {'KS D':>9} {'p-value':>9} {'mean':>8} {'std':>7}")
     for run in res.runs:
+        row = run.row
         print(
-            f"{run.n:>6} {run.ks.d_stat:>9.4f} {run.ks.p_value:>9.4f} "
-            f"{run.statistic.mean():>8.4f} {run.statistic.std():>7.4f}"
+            f"{row['n']:>6} {row['ks_d']:>9.4f} {row['ks_p']:>9.4f} "
+            f"{row['mean']:>8.4f} {row['std']:>7.4f}"
         )
     print(f"KS distance non-increasing along the grid: {res.trends['trend']['nonincreasing']}")
     print()

@@ -20,8 +20,6 @@ The alpha-stable toolbox itself (polar-method sampler and a numpy CDF
 from Nolan's integral representation) is exercised at the end.
 """
 
-import numpy as np
-
 from grg import (
     ExperimentConfig,
     ParetoWeights,
@@ -45,12 +43,13 @@ print(
     f"{'med(deficit)':>13} {'comp. D':>8} {'comp. p':>8}"
 )
 for run in res.runs:
+    row = run.row
     print(
-        f"{run.n:>6} {run.a_n:>9.1f} {run.ks.d_stat:>8.4f} "
-        f"{np.median(run.weight_statistic):>12.4f} "
-        f"{np.median(run.statistic):>10.4f} "
-        f"{np.median(run.deficits):>13.4f} "
-        f"{run.ks_compensated.d_stat:>8.4f} {run.ks_compensated.p_value:>8.3f}"
+        f"{row['n']:>6} {row['a_n']:>9.1f} {row['ks_d']:>8.4f} "
+        f"{row['weight_stat_median']:>12.4f} "
+        f"{row['edge_stat_median']:>10.4f} "
+        f"{row['deficit_median']:>13.4f} "
+        f"{row['ks_d_compensated']:>8.4f} {row['ks_p_compensated']:>8.3f}"
     )
 print(f"KS distance non-increasing along the grid: {res.trends['trend']['nonincreasing']}")
 print("(the deficit decays like n^(-1/6) log n; see module docstring)")

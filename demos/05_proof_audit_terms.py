@@ -39,9 +39,8 @@ print("=" * 123)
 header = f"{'n':>8} {'a_n':>9}" + "".join(f"{name:>15}" for name in names)
 print(header)
 for point in res.runs:
-    med = point.medians()[1.0]
-    row = f"{point.n:>8} {point.a_n:>9.1f}" + "".join(f"{med[name]:>15.5f}" for name in names)
-    print(row)
+    row, med = point.row, point.row["medians"]["1.0"]
+    print(f"{row['n']:>8} {row['a_n']:>9.1f}" + "".join(f"{med[name]:>15.5f}" for name in names))
 
 trends = res.trends["median_trends_decreasing"]["1.0"]
 print()
@@ -52,5 +51,6 @@ print()
 print("exact pair-moment terms:")
 print(f"{'n':>8} {'small-product term':>20} {'large-product term':>20}")
 for point in res.runs:
-    print(f"{point.n:>8} {point.pair_moment_small:>20.4f} {point.pair_moment_large:>20.4f}")
+    row = point.row
+    print(f"{row['n']:>8} {row['pair_moment_small']:>20.4f} {row['pair_moment_large']:>20.4f}")
 print("trend verdicts:", res.trends["pair_moment_trends_decreasing"])

@@ -50,7 +50,7 @@ _CONFIG_ERRORS = (
     SizeError,
     HypothesisError,
 )
-_NUMERIC_ERRORS = (BracketingError, FloatingPointError)
+_NUMERIC_ERRORS = (BracketingError, FloatingPointError, OverflowError)
 
 
 class _UsageError(Exception):

@@ -23,8 +23,10 @@ Three Monte Carlo experiments and one deterministic audit:
 
 Each run is ``simulate`` (replications -> per-n table) followed by
 ``derive_result`` (table -> result), the only place that computes KS
-tests, deficits and trends, which live in ``ExperimentResult.trends``;
-``grg report`` calls it on the table that it reads back from a run.
+tests, deficits, medians and trends.  It gives one :class:`RunRecord`
+per n, whose ``row`` is that n's ``summary.json`` row, and the trends in
+``ExperimentResult.trends``; ``grg report`` calls it on the table that
+it reads back from a run.
 
 Replications are independent tasks seeded by ``derive_seed`` from the
 master seed and reduced in replication order, so results are identical
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,71 +198,63 @@ def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: 
 
 
 @dataclass(eq=False)
-class GaussianLimitRun:
-    n: int
-    statistic: np.ndarray  # the normalized edge count per replication
-    edge_counts: np.ndarray
-    weight_sums: np.ndarray
-    ks: KsResult
+class RunRecord:
+    """One n of a run: its ``summary.json`` row and what the row came from.
 
+    ``row`` is the row as it is written.  ``columns`` holds the
+    per-replication arrays of T1, T2 and LLN, by name:
 
-def _gaussian_run(config, n, edge_counts, weight_sums, cond_means) -> GaussianLimitRun:
-    mom = analytic_moments(config.model, n)
-    values = normal_limit_statistic(edge_counts, n, mom.ew, mom.var_w)
-    return GaussianLimitRun(n, values, edge_counts, weight_sums, ks_one_sample(values, normal_cdf))
+    * ``statistic`` -- the normalized edge count (T1), the edge statistic
+      (2 E_n - n EW) / a_n (T2) or E_n / n (LLN);
+    * ``edge_count`` -- E_n;
+    * ``L_n`` -- the weight sum;
+    * ``weight_statistic`` -- (L_n - n EW) / a_n, T2 only;
+    * ``deficit`` -- (L_n - 2 E[E_n | W]) / a_n, T2 only.
 
-
-@dataclass(eq=False)
-class StableLimitRun:
-    """One n of a stable-limit run.
-
-    ``statistic`` holds the edge statistic (2 E_n - n EW) / a_n and
-    ``weight_statistic`` the weight-sum statistic (L_n - n EW) / a_n per
-    replication; ``ks`` compares the two as they are.  ``deficits`` holds
-    (L_n - 2 E[E_n | W]) / a_n per replication, and ``ks_compensated``
-    compares the weight-sum statistic with the edge statistic plus that
-    deficit.
+    ``terms`` holds the audit's terms, replication-major; it is empty for
+    the other kinds, as ``columns`` is for the audit.
     """
 
     n: int
-    a_n: float
-    statistic: np.ndarray
-    weight_statistic: np.ndarray
-    edge_counts: np.ndarray
-    weight_sums: np.ndarray
-    ks: KsResult
-    deficits: np.ndarray
-    ks_compensated: KsResult
+    row: dict
+    columns: dict = field(default_factory=dict)
+    terms: list = field(default_factory=list)
 
 
-def _stable_run(config, n, edge_counts, weight_sums, cond_means) -> StableLimitRun:
+def _ks_row(n: int, ks: KsResult) -> dict:
+    return {"n": n, "ks_d": ks.d_stat, "ks_p": ks.p_value, "n_effective": ks.n_effective}
+
+
+def _gaussian_run(config, n, edge_counts, weight_sums, cond_means) -> RunRecord:
+    mom = analytic_moments(config.model, n)
+    values = normal_limit_statistic(edge_counts, n, mom.ew, mom.var_w)
+    row = {**_ks_row(n, ks_one_sample(values, normal_cdf)),
+           "mean": float(values.mean()), "std": float(values.std())}
+    return RunRecord(n, row, {"statistic": values, "edge_count": edge_counts, "L_n": weight_sums})
+
+
+def _stable_run(config, n, edge_counts, weight_sums, cond_means) -> RunRecord:
     ew = analytic_moments(config.model).ew
     a_n = compute_norming(config.model, n)
     wstat = (weight_sums - n * ew) / a_n
     estat = stable_limit_statistic(edge_counts, n, ew, a_n)
-    deficits = (weight_sums - 2.0 * cond_means) / a_n
-    return StableLimitRun(n, a_n, estat, wstat, edge_counts, weight_sums,
-                          ks_two_sample(wstat, estat), deficits,
-                          ks_two_sample(wstat, estat + deficits))
+    deficit = (weight_sums - 2.0 * cond_means) / a_n
+    compensated = ks_two_sample(wstat, estat + deficit)
+    row = {**_ks_row(n, ks_two_sample(wstat, estat)), "a_n": a_n,
+           "edge_stat_median": median(estat), "weight_stat_median": median(wstat),
+           "deficit_median": median(deficit), "deficit_mean": float(deficit.mean()),
+           "ks_d_compensated": compensated.d_stat, "ks_p_compensated": compensated.p_value}
+    return RunRecord(n, row, {"statistic": estat, "edge_count": edge_counts, "L_n": weight_sums,
+                              "weight_statistic": wstat, "deficit": deficit})
 
 
-@dataclass(eq=False)
-class LlnRun:
-    n: int
-    mean_ratio: float
-    std_ratio: float
-    target: float
-    edge_counts: np.ndarray
-    weight_sums: np.ndarray
-    statistic: np.ndarray  # E_n / n per replication
-
-
-def _lln_run(config, n, edge_counts, weight_sums, cond_means) -> LlnRun:
+def _lln_run(config, n, edge_counts, weight_sums, cond_means) -> RunRecord:
     ratios = edge_counts / n
+    mean_ratio = float(ratios.mean())
     target = analytic_moments(config.model, n).ew / 2.0
-    return LlnRun(
-        n, float(ratios.mean()), float(ratios.std()), target, edge_counts, weight_sums, ratios
-    )
+    row = {"n": n, "mean_ratio": mean_ratio, "std_ratio": float(ratios.std()),
+           "target": target, "abs_error": abs(mean_ratio - target)}
+    return RunRecord(n, row, {"statistic": ratios, "edge_count": edge_counts, "L_n": weight_sums})
 
 
 def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> AuditTerms:
@@ -358,26 +352,21 @@ def _audit_one(args):
     return [proof_audit(wv, t, c_n, a_n) for t in t_values]
 
 
-@dataclass(eq=False)
-class AuditGridPoint:
-    n: int
-    c_n: float
-    a_n: float
-    terms: list[AuditTerms]  # replications x t_values, replication-major
-    pair_moment_small: float
-    pair_moment_large: float
-
-    def medians(self) -> dict[float, dict[str, float]]:
-        return {t: {name: median([getattr(x, name) for x in self.terms if x.t == t])
-                    for name in AUDIT_TERM_NAMES} for t in sorted({x.t for x in self.terms})}
+def _audit_point(config, n, c_n, a_n, terms, pair_moment_small, pair_moment_large) -> RunRecord:
+    """The row holds each term's median over the replications, per t."""
+    medians = {str(t): {name: median([getattr(x, name) for x in terms if x.t == t])
+                        for name in AUDIT_TERM_NAMES} for t in sorted({x.t for x in terms})}
+    row = {"n": n, "c_n": c_n, "a_n": a_n, "medians": medians,
+           "pair_moment_small": pair_moment_small, "pair_moment_large": pair_moment_large}
+    return RunRecord(n, row, terms=terms)
 
 
 @dataclass(eq=False)
 class ExperimentResult:
-    """A run per n (GaussianLimitRun, StableLimitRun, LlnRun or AuditGridPoint)
-    and ``trends``, the run-level blocks of ``summary.json``: ``trend`` for T1
-    and T2, the strict ``*_trends_decreasing`` verdicts for the audit, none for
-    LLN."""
+    """A :class:`RunRecord` per n and ``trends``, the run-level blocks of
+    ``summary.json``: ``trend`` for T1 and T2, the strict
+    ``*_trends_decreasing`` verdicts and the remainder coefficient bound
+    for the audit, none for LLN."""
 
     config: ExperimentConfig
     runs: list
@@ -385,23 +374,25 @@ class ExperimentResult:
     elapsed_seconds: float = 0.0
 
 
-def _ks_trend(runs: list) -> dict:
-    d = [r.ks.d_stat for r in runs]
+def _ks_trend(runs: list[RunRecord]) -> dict:
+    d = [r.row["ks_d"] for r in runs]
     return {"trend": {"metric": "ks_d", "values": d,
                       "nonincreasing": all(b <= a for a, b in zip(d, d[1:]))}}
 
 
-def _audit_trends(points: list[AuditGridPoint]) -> dict:
-    medians = [p.medians() for p in points]
+def _audit_trends(points: list[RunRecord]) -> dict:
+    rows = [p.row for p in points]
     return {
         "median_trends_decreasing": {
-            str(t): {name: _decreasing([m[t][name] for m in medians]) for name in AUDIT_TERM_NAMES}
-            for t in medians[0]
+            t: {name: _decreasing([r["medians"][t][name] for r in rows])
+                for name in AUDIT_TERM_NAMES}
+            for t in rows[0]["medians"]
         },
         "pair_moment_trends_decreasing": {
-            name: _decreasing([getattr(p, name) for p in points])
+            name: _decreasing([r[name] for r in rows])
             for name in ("pair_moment_small", "pair_moment_large")
         },
+        "remainder_coeff_bound": 0.5,
     }
 
 
@@ -447,7 +438,7 @@ _DERIVATIONS = {  # kind -> (table row -> run, runs -> trends)
     "T1": (_gaussian_run, _ks_trend),
     "T2": (_stable_run, _ks_trend),
     "LLN": (_lln_run, lambda runs: {}),
-    "AUDIT": (lambda config, n, *row: AuditGridPoint(n, *row), _audit_trends),
+    "AUDIT": (_audit_point, _audit_trends),
 }
 
 
@@ -490,8 +481,9 @@ def run_stable_limit(config: ExperimentConfig, threads: int = 1) -> ExperimentRe
     Both statistics come from the same replications, so their dependence
     is preserved.  At desk-scale n the raw KS rejects because of the
     conditional-mean deficit (see the module docstring); each
-    :class:`StableLimitRun` carries that deficit per replication,
-    computed exactly, and the KS of the compensated statistic.
+    :class:`RunRecord` carries that deficit per replication, computed
+    exactly, in ``columns["deficit"]``, and the KS of the compensated
+    statistic in ``row["ks_d_compensated"]``.
     """
     return _run_kind("T2", config, threads)
 

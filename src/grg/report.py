@@ -33,7 +33,6 @@ from .limits import (
     replicate_edges,
     replication_weights,
 )
-from .stats import median
 from .weights import compute_norming, model_from_config, model_to_config
 
 __all__ = ["RunManifest", "emit_report", "read_run", "read_json", "config_to_dict",
@@ -224,48 +223,9 @@ def _write_qq_svg(path: Path, a: np.ndarray, b: np.ndarray, title: str,
 # ------------------------------------------------------------- reports
 
 
-def _ks_summary(run) -> dict:
-    ks = run.ks
-    return {"n": run.n, "ks_d": ks.d_stat, "ks_p": ks.p_value, "n_effective": ks.n_effective}
-
-
-def _t1_summary(run) -> dict:
-    values = run.statistic
-    return {**_ks_summary(run), "mean": float(values.mean()), "std": float(values.std())}
-
-
-def _t2_summary(run) -> dict:
-    return {
-        **_ks_summary(run),
-        "a_n": run.a_n,
-        "edge_stat_median": median(run.statistic),
-        "weight_stat_median": median(run.weight_statistic),
-        "deficit_median": median(run.deficits),
-        "deficit_mean": float(run.deficits.mean()),
-        "ks_d_compensated": run.ks_compensated.d_stat,
-        "ks_p_compensated": run.ks_compensated.p_value,
-    }
-
-
-def _lln_summary(run) -> dict:
-    return {"n": run.n, "mean_ratio": run.mean_ratio, "std_ratio": run.std_ratio,
-            "target": run.target, "abs_error": abs(run.mean_ratio - run.target)}
-
-
-def _audit_summary(point) -> dict:
-    return {
-        "n": point.n,
-        "c_n": point.c_n,
-        "a_n": point.a_n,
-        "medians": {str(t): med for t, med in point.medians().items()},
-        "pair_moment_small": point.pair_moment_small,
-        "pair_moment_large": point.pair_moment_large,
-    }
-
-
 def _t1_figure(path: Path, run) -> None:
     """Histogram of the normalized edge count under the standard normal density."""
-    values = run.statistic
+    values = run.columns["statistic"]
     xs = np.linspace(float(values.min()), float(values.max()), 200)
     pdf = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
     _write_histogram_svg(path, values, f"normalized edge count, n={run.n} (normal overlay)",
@@ -273,22 +233,18 @@ def _t1_figure(path: Path, run) -> None:
 
 
 def _t2_figure(path: Path, run) -> None:
-    _write_qq_svg(path, run.weight_statistic, run.statistic,
+    _write_qq_svg(path, run.columns["weight_statistic"], run.columns["statistic"],
                   f"weight-sum vs edge statistic quantiles, n={run.n}",
                   "weight-sum statistic", "edge statistic")
 
 
 def _lln_figure(path: Path, run) -> None:
-    _write_histogram_svg(path, run.statistic, f"edges per vertex, n={run.n} (dashed line: EW/2)",
-                         vline=run.target)
+    _write_histogram_svg(path, run.columns["statistic"],
+                         f"edges per vertex, n={run.n} (dashed line: EW/2)",
+                         vline=run.row["target"])
 
 
-_KINDS = {
-    "T1": (_t1_summary, _t1_figure),
-    "T2": (_t2_summary, _t2_figure),
-    "LLN": (_lln_summary, _lln_figure),
-    "AUDIT": (_audit_summary, None),
-}
+_FIGURES = {"T1": _t1_figure, "T2": _t2_figure, "LLN": _lln_figure}
 
 
 def emit_report(result: ExperimentResult, out_dir) -> RunManifest:
@@ -301,14 +257,13 @@ def emit_report(result: ExperimentResult, out_dir) -> RunManifest:
     if not result.runs:
         raise ConfigError("empty result: nothing to report")
     config = result.config
-    summary_row, figure = _KINDS[config.theorem]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": config.theorem,
         "config": config_to_dict(config),
-        "results": [summary_row(run) for run in result.runs],
+        "results": [run.row for run in result.runs],
         **result.trends,
     }
     if config.theorem == "AUDIT":
@@ -319,16 +274,15 @@ def emit_report(result: ExperimentResult, out_dir) -> RunManifest:
             for k, term in enumerate(point.terms):
                 values = ",".join(repr(getattr(term, name)) for name in _AUDIT_FIELDS)
                 lines.append(f"{term.n},{k // n_t},{values}")
-        summary["remainder_coeff_bound"] = 0.5
     else:
         outputs = ["result.csv"]
         lines = [RESULT_CSV_HEADER]
         for run in result.runs:
-            columns = zip(run.statistic, run.edge_counts, run.weight_sums)
-            for rep, (stat, ec, l_n) in enumerate(columns):
+            columns = (run.columns[name] for name in ("statistic", "edge_count", "L_n"))
+            for rep, (stat, ec, l_n) in enumerate(zip(*columns)):
                 lines.append(f"{run.n},{rep},{float(stat)!r},{int(ec)},{float(l_n)!r}")
             outputs.append(f"hist_{run.n}.svg")
-            figure(out / outputs[-1], run)
+            _FIGURES[config.theorem](out / outputs[-1], run)
     _write_lines(out / outputs[0], lines)
     _json_dump(out / "summary.json", summary)
     manifest = RunManifest(
@@ -446,6 +400,6 @@ def read_run(run_dir, threads: int = 1):
     table, statistics = _read_result_table(run_dir / "result.csv", config, threads)
     result = derive_result(config, table, elapsed)
     for run, statistic in zip(result.runs, statistics):
-        if not np.array_equal(run.statistic, statistic):
+        if not np.array_equal(run.columns["statistic"], statistic):
             raise ConfigError(f"result.csv statistic at n={run.n} disagrees with edge_count")
     return result

@@ -88,8 +88,8 @@ def test_03_gaussian_limit():
         ExponentialWeights(1.0), (50, 2000), 2000, master_seed=33, theorem="T1"
     )
     res = run_gaussian_limit(cfg)
-    d50, d2000 = res.runs[0].ks.d_stat, res.runs[1].ks.d_stat
-    p2000 = res.runs[1].ks.p_value
+    d50, d2000 = res.runs[0].row["ks_d"], res.runs[1].row["ks_d"]
+    p2000 = res.runs[1].row["ks_p"]
     elapsed = time.perf_counter() - t0
     ok = d2000 <= 0.05 and p2000 > 0.01 and d2000 < d50 and elapsed <= 300.0
     assert verdict(
@@ -111,10 +111,10 @@ def test_04_stable_limit_two_sample():
         ParetoWeights(1.5, 1.0), (200, 5000), 2000, master_seed=314159, theorem="T2"
     )
     res = run_stable_limit(cfg)
-    small, large = res.runs
-    d200, d5000 = small.ks.d_stat, large.ks.d_stat
-    p_raw, p_comp = large.ks.p_value, large.ks_compensated.p_value
-    def200, def5000 = float(np.median(small.deficits)), float(np.median(large.deficits))
+    small, large = (run.row for run in res.runs)
+    d200, d5000 = small["ks_d"], large["ks_d"]
+    p_raw, p_comp = large["ks_p"], large["ks_p_compensated"]
+    def200, def5000 = small["deficit_median"], large["deficit_median"]
     elapsed = time.perf_counter() - t0
     trend_ok = d5000 < d200
     deficit_ok = def5000 < def200
@@ -130,7 +130,7 @@ def test_04_stable_limit_two_sample():
     assert deficit_ok, f"median deficit did not decrease: {def200:.3f} -> {def5000:.3f}"
     assert p_comp > 0.01, (
         f"two-sample KS of the compensated statistic p={p_comp:.2e} "
-        f"(D={large.ks_compensated.d_stat:.4f}); the raw statistics have p={p_raw:.2e} "
+        f"(D={large['ks_d_compensated']:.4f}); the raw statistics have p={p_raw:.2e} "
         f"and a median deficit of {def5000:.3f} at n=5000"
     )
 
@@ -141,7 +141,7 @@ def test_05_lln():
         ExponentialWeights(1.0), (10_000,), 100, master_seed=90210, theorem="LLN"
     )
     res = run_lln(cfg)
-    mean = res.runs[0].mean_ratio
+    mean = res.runs[0].row["mean_ratio"]
     assert verdict("05 law of large numbers", abs(mean - 0.5) <= 0.02,
                    f"mean E_n/n = {mean:.5f} within 0.5 +- 0.02")
 

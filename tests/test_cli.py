@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -32,6 +33,14 @@ TINY_RUNS = {
     "LLN": {"theorem": "LLN", "n_grid": [400], "replications": 30},
     "AUDIT": {"model": PARETO, "theorem": "AUDIT", "n_grid": [60, 150], "replications": 4,
               "t_values": [0.5, 1.0]},
+}
+# sha256 of each TINY_RUNS run's summary.json.  A change to the code that builds the rows
+# must keep every digit; only a change to the sampled law or to a statistic may move these.
+TINY_SUMMARY_SHA256 = {
+    "T1": "50dd5b42b74e9649daa6ea96a3186f44407143f45c34bb088d5774badd6e1886",
+    "T2": "81a835bde54cdd547b2846bc854efda667789c1891597e6c914ae9e80bfee061",
+    "LLN": "f0996182df9bafe7ce3769dc133927fdfe4845000f3fb1ade18fa1fa1445c18f",
+    "AUDIT": "e5ea1df46f3e6e10f84757b2ce7aed01a214fd09c22e6e453f3db2b0f1015f83",
 }
 
 
@@ -140,6 +149,15 @@ class TestExperimentCommand:
         assert (kind == "AUDIT") != any(name.endswith(".svg") for name in payload)
         for name in payload:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("kind", sorted(TINY_RUNS))
+    def test_summary_bytes_are_pinned(self, tmp_path, kind):
+        cfg = write_config(tmp_path / "c.json", **TINY_RUNS[kind])
+        command = "audit" if kind == "AUDIT" else "experiment"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--threads", "1"]) == 0
+        digest = hashlib.sha256((tmp_path / "run" / "summary.json").read_bytes()).hexdigest()
+        assert digest == TINY_SUMMARY_SHA256[kind]
 
     def test_seed_flag_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "t1.json")
@@ -595,6 +613,13 @@ READ_AS_OTHER_VALUES = [
     ("model", {"kind": "pareto", "alpha": "2.5", "xm": 1}),  # T1 would run it at alpha = 2.5
     ("t_values", [True, "2"]),
 ]
+# Configs whose closed-form moments or audit terms overflow a float.
+OVERFLOWING = [
+    {**TINY_T1, "model": {"kind": "lognormal", "mu": 0, "sigma": 30}},  # analytic_moments
+    {**TINY_T1, "model": {"kind": "pareto", "alpha": 2.5, "xm": 1e300}},  # tail_params
+    {**TINY_T1, "model": {"kind": "pareto", "alpha": 1.5, "xm": 1.0}, "theorem": "AUDIT",
+     "replications": 2, "t_values": [1e308]},  # proof_audit
+]
 INVALID_FIELDS = {
     "model": JUNK + [[], {}, {"kind": "nosuch"}, {"kind": "exponential"},
                      {"kind": "exponential", "rate": -1.0},
@@ -645,6 +670,16 @@ class TestMalformedInput:
         code, err = run_cli(["experiment", "--config", str(tmp_path / "c.json"),
                              "--out", str(tmp_path / "out"), "--threads", "1"])
         assert code == 1 and err.startswith("config error:"), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", OVERFLOWING, ids=["lognormal", "pareto", "audit"])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, config):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        command = "audit" if config["theorem"] == "AUDIT" else "experiment"
+        code, err = run_cli([command, "--config", str(tmp_path / "c.json"),
+                             "--out", str(tmp_path / "out"), "--threads", "1"])
+        assert code == 2 and err.startswith("numerical failure:"), err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -203,20 +203,20 @@ class TestGaussianRun:
         """Constant weights (variance 0): denominator 2EW keeps the limit valid."""
         cfg = ExperimentConfig(ConstantWeights(2.0), (2000,), 500, 1234, "T1")
         res = run_gaussian_limit(cfg)
-        assert res.runs[0].ks.p_value > 0.01, res.runs[0].ks
+        assert res.runs[0].row["ks_p"] > 0.01, res.runs[0].row
 
     def test_statistic_mean_is_small(self):
         """Sample mean near 0; the O(1/sqrt(n)) centering bias stays inside 0.35."""
         cfg = ExperimentConfig(ExponentialWeights(1.0), (500,), 400, 5150, "T1")
         res = run_gaussian_limit(cfg)
-        assert abs(res.runs[0].statistic.mean()) < 0.35
+        assert abs(res.runs[0].row["mean"]) < 0.35
 
     def test_deterministic_and_thread_invariant(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (120,), 100, 77, "T1")
         a = run_gaussian_limit(cfg, threads=1)
         b = run_gaussian_limit(cfg, threads=2)
-        np.testing.assert_array_equal(a.runs[0].statistic, b.runs[0].statistic)
-        np.testing.assert_array_equal(a.runs[0].edge_counts, b.runs[0].edge_counts)
+        for name in ("statistic", "edge_count"):
+            np.testing.assert_array_equal(a.runs[0].columns[name], b.runs[0].columns[name])
 
 
 class TestStableRun:
@@ -224,16 +224,12 @@ class TestStableRun:
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (100, 400), 150, 90, "T2")
         res = run_stable_limit(cfg)
         assert len(res.runs) == 2
-        run = res.runs[0]
+        col, a_n = res.runs[0].columns, res.runs[0].row["a_n"]
         # the weight statistic is (L - n EW)/a_n for the same replications
-        np.testing.assert_allclose(
-            run.weight_statistic, (run.weight_sums - 100 * 3.0) / run.a_n
-        )
-        np.testing.assert_allclose(
-            run.statistic, (2.0 * run.edge_counts - 100 * 3.0) / run.a_n
-        )
-        assert run.ks.n_effective == pytest.approx(75.0)
-        assert res.trends["trend"]["values"] == [r.ks.d_stat for r in res.runs]
+        np.testing.assert_allclose(col["weight_statistic"], (col["L_n"] - 100 * 3.0) / a_n)
+        np.testing.assert_allclose(col["statistic"], (2.0 * col["edge_count"] - 100 * 3.0) / a_n)
+        assert res.runs[0].row["n_effective"] == pytest.approx(75.0)
+        assert res.trends["trend"]["values"] == [r.row["ks_d"] for r in res.runs]
 
     def test_deficits_and_compensated_ks(self):
         """Deficits rebuilt from the weights; compensated KS thread invariant."""
@@ -242,29 +238,31 @@ class TestStableRun:
         a = run_stable_limit(cfg, threads=1)
         b = run_stable_limit(cfg, threads=2)
         for ra, rb in zip(a.runs, b.runs):
-            np.testing.assert_array_equal(ra.deficits, rb.deficits)
-            assert ra.ks_compensated == rb.ks_compensated
-            assert ra.ks == rb.ks
+            np.testing.assert_array_equal(ra.columns["deficit"], rb.columns["deficit"])
+            assert ra.row == rb.row
+            col, a_n = ra.columns, ra.row["a_n"]
             means = np.array([
                 conditional_edge_mean(sample_weights(model, ra.n, derive_seed(42, 2 * rep)))
                 for rep in range(cfg.replications)
             ])
             np.testing.assert_allclose(
-                ra.deficits, (ra.weight_sums - 2.0 * means) / ra.a_n, rtol=1e-12, atol=1e-12
+                col["deficit"], (col["L_n"] - 2.0 * means) / a_n, rtol=1e-12, atol=1e-12
             )
-            compensated = ra.statistic + ra.deficits
+            compensated = col["statistic"] + col["deficit"]
             np.testing.assert_allclose(
                 compensated,
-                (2.0 * ra.edge_counts - 2.0 * means + ra.weight_sums - ra.n * 3.0) / ra.a_n,
+                (2.0 * col["edge_count"] - 2.0 * means + col["L_n"] - ra.n * 3.0) / a_n,
                 rtol=1e-12, atol=1e-12,
             )
-            assert ks_two_sample(ra.weight_statistic, compensated) == ra.ks_compensated
+            ks = ks_two_sample(col["weight_statistic"], compensated)
+            assert (ks.d_stat, ks.p_value) == (ra.row["ks_d_compensated"],
+                                               ra.row["ks_p_compensated"])
 
     def test_median_stabilizes_in_n(self):
         """Edge-statistic medians at n and 2n differ by less than 0.2."""
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (2000, 4000), 400, 1618, "T2")
         res = run_stable_limit(cfg)
-        medians = [float(np.median(r.statistic)) for r in res.runs]
+        medians = [r.row["edge_stat_median"] for r in res.runs]
         assert abs(medians[1] - medians[0]) < 0.2, medians
 
 
@@ -272,9 +270,9 @@ class TestLlnRun:
     def test_exponential_half(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (10_000,), 100, 90210, "LLN")
         res = run_lln(cfg)
-        row = res.runs[0]
-        assert row.target == 0.5
-        assert abs(row.mean_ratio - 0.5) < 0.02
+        row = res.runs[0].row
+        assert row["target"] == 0.5
+        assert abs(row["mean_ratio"] - 0.5) < 0.02
 
     def test_constant_matches_exact_expectation(self):
         """Pure ER: E[E_n]/n = (n-1) lam / (2n)."""
@@ -282,13 +280,13 @@ class TestLlnRun:
         cfg = ExperimentConfig(ConstantWeights(lam), (n,), 60, 31337, "LLN")
         res = run_lln(cfg)
         exact = (n - 1) * lam / (2 * n)
-        assert abs(res.runs[0].mean_ratio - exact) < 0.05
+        assert abs(res.runs[0].row["mean_ratio"] - exact) < 0.05
 
     def test_pareto_heavy_tail_mean(self):
         """Pareto(1.5): E_n/n sits near EW/2 = 1.5 at n = 1e5."""
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (10**5,), 50, 271828, "LLN")
         res = run_lln(cfg)
-        assert abs(res.runs[0].mean_ratio - 1.5) < 0.1, res.runs[0]
+        assert abs(res.runs[0].row["mean_ratio"] - 1.5) < 0.1, res.runs[0].row
 
 
 class TestProofAudit:
