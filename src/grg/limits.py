@@ -21,12 +21,12 @@ Three Monte Carlo experiments and one deterministic audit:
   sampled weight vectors, and two exact pair moments of the weight law;
   all of them must drift to zero as n grows.
 
-Each run is ``simulate`` (replications -> per-n table) followed by
-``derive_result`` (table -> result), the only place that computes KS
-tests, deficits, medians and trends.  It gives one :class:`RunRecord`
-per n, whose ``row`` is that n's ``summary.json`` row, and the trends in
-``ExperimentResult.trends``; ``grg report`` calls it on the table that
-it reads back from a run.
+Each run is ``simulate`` (replications -> per-n table of named columns)
+followed by ``derive_result`` (table -> result), the only place that
+computes KS tests, deficits, medians and trends.  It gives one
+:class:`RunRecord` per n, whose ``row`` is that n's ``summary.json`` row,
+and the trends in ``ExperimentResult.trends``; ``grg report`` calls it on
+the columns that it reads back from a run's CSV.
 
 Replications are independent tasks seeded by ``derive_seed`` from the
 master seed and reduced in replication order, so results are identical
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,6 +76,7 @@ __all__ = [
 
 EXPERIMENT_KINDS = ("T1", "T2", "LLN", "AUDIT")
 AUDIT_TERM_NAMES = ("selfloop_bound", "i1_bound", "i3_bound", "t_a", "t_b", "t_c", "t_d")
+AUDIT_COLUMNS = ("t", "c_n", "a_n", *AUDIT_TERM_NAMES)
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,9 @@ def _edge_stats_one(args):
     edge_count = -1
     if with_graph:
         edge_count = sample_graph_fast(wv, derive_seed(master_seed, 2 * rep + 1)).edge_count
-    mean = conditional_edge_mean(wv) if with_mean else math.nan
-    return edge_count, wv.sum_l, mean
+    if with_mean:
+        return edge_count, wv.sum_l, conditional_edge_mean(wv)
+    return edge_count, wv.sum_l
 
 
 def _map_ordered(fn, args_list, threads: int):
@@ -181,20 +183,20 @@ def _map_ordered(fn, args_list, threads: int):
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
-def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: bool):
-    """Per-replication edge counts, weight sums and conditional edge means.
+def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: bool) -> dict:
+    """Per-replication columns: ``edge_count``, ``L_n`` and, for T2 only,
+    ``cond_mean``, E[E_n | W].
 
-    The means are NaN unless the run is T2.  Without ``with_graph`` only
-    the weights are drawn, from the run's own seeds, and every edge
-    count is -1.
+    Without ``with_graph`` only the weights are drawn, from the run's own
+    seeds, and every edge count is -1.
     """
     with_mean = config.theorem == "T2"
     args = [
         (config.model, n, with_graph, config.master_seed, rep, with_mean)
         for rep in range(config.replications)
     ]
-    edge_counts, weight_sums, cond_means = zip(*_map_ordered(_edge_stats_one, args, threads))
-    return np.array(edge_counts, dtype=np.int64), np.array(weight_sums), np.array(cond_means)
+    columns = zip(*_map_ordered(_edge_stats_one, args, threads))
+    return {name: np.array(c) for name, c in zip(("edge_count", "L_n", "cond_mean"), columns)}
 
 
 @dataclass(eq=False)
@@ -202,59 +204,60 @@ class RunRecord:
     """One n of a run: its ``summary.json`` row and what the row came from.
 
     ``row`` is the row as it is written.  ``columns`` holds the
-    per-replication arrays of T1, T2 and LLN, by name:
+    per-replication arrays, by name: the table's and those derived from
+    them.  T1, T2 and LLN have
 
     * ``statistic`` -- the normalized edge count (T1), the edge statistic
       (2 E_n - n EW) / a_n (T2) or E_n / n (LLN);
     * ``edge_count`` -- E_n;
     * ``L_n`` -- the weight sum;
+    * ``cond_mean`` -- E[E_n | W], T2 only;
     * ``weight_statistic`` -- (L_n - n EW) / a_n, T2 only;
     * ``deficit`` -- (L_n - 2 E[E_n | W]) / a_n, T2 only.
 
-    ``terms`` holds the audit's terms, replication-major; it is empty for
-    the other kinds, as ``columns`` is for the audit.
+    The audit has one entry per replication and t, replication-major, in
+    ``t``, ``c_n``, ``a_n`` and each of ``AUDIT_TERM_NAMES``.
     """
 
     n: int
     row: dict
-    columns: dict = field(default_factory=dict)
-    terms: list = field(default_factory=list)
+    columns: dict
 
 
 def _ks_row(n: int, ks: KsResult) -> dict:
     return {"n": n, "ks_d": ks.d_stat, "ks_p": ks.p_value, "n_effective": ks.n_effective}
 
 
-def _gaussian_run(config, n, edge_counts, weight_sums, cond_means) -> RunRecord:
+def _gaussian_run(config, n, columns) -> RunRecord:
     mom = analytic_moments(config.model, n)
-    values = normal_limit_statistic(edge_counts, n, mom.ew, mom.var_w)
+    values = normal_limit_statistic(columns["edge_count"], n, mom.ew, mom.var_w)
     row = {**_ks_row(n, ks_one_sample(values, normal_cdf)),
            "mean": float(values.mean()), "std": float(values.std())}
-    return RunRecord(n, row, {"statistic": values, "edge_count": edge_counts, "L_n": weight_sums})
+    return RunRecord(n, row, {**columns, "statistic": values})
 
 
-def _stable_run(config, n, edge_counts, weight_sums, cond_means) -> RunRecord:
+def _stable_run(config, n, columns) -> RunRecord:
     ew = analytic_moments(config.model).ew
     a_n = compute_norming(config.model, n)
-    wstat = (weight_sums - n * ew) / a_n
-    estat = stable_limit_statistic(edge_counts, n, ew, a_n)
-    deficit = (weight_sums - 2.0 * cond_means) / a_n
+    wstat = (columns["L_n"] - n * ew) / a_n
+    estat = stable_limit_statistic(columns["edge_count"], n, ew, a_n)
+    deficit = (columns["L_n"] - 2.0 * columns["cond_mean"]) / a_n
     compensated = ks_two_sample(wstat, estat + deficit)
     row = {**_ks_row(n, ks_two_sample(wstat, estat)), "a_n": a_n,
            "edge_stat_median": median(estat), "weight_stat_median": median(wstat),
            "deficit_median": median(deficit), "deficit_mean": float(deficit.mean()),
            "ks_d_compensated": compensated.d_stat, "ks_p_compensated": compensated.p_value}
-    return RunRecord(n, row, {"statistic": estat, "edge_count": edge_counts, "L_n": weight_sums,
-                              "weight_statistic": wstat, "deficit": deficit})
+    return RunRecord(n, row, {**columns, "statistic": estat, "weight_statistic": wstat,
+                              "deficit": deficit})
 
 
-def _lln_run(config, n, edge_counts, weight_sums, cond_means) -> RunRecord:
-    ratios = edge_counts / n
+def _lln_run(config, n, columns) -> RunRecord:
+    ratios = columns["edge_count"] / n
     mean_ratio = float(ratios.mean())
     target = analytic_moments(config.model, n).ew / 2.0
     row = {"n": n, "mean_ratio": mean_ratio, "std_ratio": float(ratios.std()),
            "target": target, "abs_error": abs(mean_ratio - target)}
-    return RunRecord(n, row, {"statistic": ratios, "edge_count": edge_counts, "L_n": weight_sums})
+    return RunRecord(n, row, {**columns, "statistic": ratios})
 
 
 def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> AuditTerms:
@@ -273,10 +276,13 @@ def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> Audi
     sum_sq = weights.sum_sq
     abs_t = abs(t)
     selfloop = 2.0 * abs_t / c_n * sum_sq / l_n
-    i1 = abs_t**3 * l_n / (12.0 * c_n**3)
+    try:
+        i1 = abs_t**3 * l_n / (12.0 * c_n**3)
+    except OverflowError:  # the ** of a float raises where its product would give inf
+        i1 = math.inf
     i3 = t * t / (c_n * c_n) * (sum_sq / n) ** 2 * (n / l_n) ** 2
     sum_b, sum_c, sum_d = pair_sums(weights)
-    return AuditTerms(
+    terms = AuditTerms(
         n=n,
         t=t,
         c_n=c_n,
@@ -289,6 +295,10 @@ def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> Audi
         t_c=sum_c / a_n,
         t_d=sum_d / (a_n * a_n),
     )
+    for name in AUDIT_TERM_NAMES:
+        if not math.isfinite(getattr(terms, name)):
+            raise OverflowError(f"audit term {name} at n={n}, t={t} overflows a double")
+    return terms
 
 
 def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, float]:
@@ -352,13 +362,16 @@ def _audit_one(args):
     return [proof_audit(wv, t, c_n, a_n) for t in t_values]
 
 
-def _audit_point(config, n, c_n, a_n, terms, pair_moment_small, pair_moment_large) -> RunRecord:
-    """The row holds each term's median over the replications, per t."""
-    medians = {str(t): {name: median([getattr(x, name) for x in terms if x.t == t])
-                        for name in AUDIT_TERM_NAMES} for t in sorted({x.t for x in terms})}
+def _audit_point(config, n, columns) -> RunRecord:
+    """The row holds each term's median over the replications, per t, and the pair moments."""
+    t = columns["t"]
+    medians = {str(s): {name: median(columns[name][t == s]) for name in AUDIT_TERM_NAMES}
+               for s in sorted(set(t.tolist()))}
+    c_n, a_n = columns["c_n"][0].item(), columns["a_n"][0].item()
+    small, large = audit_pair_moments(config.model, n, a_n)
     row = {"n": n, "c_n": c_n, "a_n": a_n, "medians": medians,
-           "pair_moment_small": pair_moment_small, "pair_moment_large": pair_moment_large}
-    return RunRecord(n, row, terms=terms)
+           "pair_moment_small": small, "pair_moment_large": large}
+    return RunRecord(n, row, columns)
 
 
 @dataclass(eq=False)
@@ -412,12 +425,12 @@ def _check_hypothesis(config: ExperimentConfig) -> None:
         raise HypothesisError("the edge-density law needs a finite mean")
 
 
-def simulate(config: ExperimentConfig, threads: int = 1) -> list[tuple]:
-    """Simulate -> table: one tuple of per-replication data per n of the grid.
+def simulate(config: ExperimentConfig, threads: int = 1) -> list[dict]:
+    """Simulate -> table: one dict of named per-replication columns per n.
 
-    T1, T2 and LLN give ``(edge_counts, weight_sums, cond_means)``, with
-    the means for T2 only; the audit gives ``(c_n, a_n, terms,
-    pair_moment_small, pair_moment_large)``, terms replication-major.
+    T1, T2 and LLN give the columns of :func:`replicate_edges`; the audit
+    gives one entry per replication and t, replication-major, in each of
+    ``AUDIT_COLUMNS``.
     """
     _check_hypothesis(config)
     if config.theorem != "AUDIT":
@@ -425,16 +438,14 @@ def simulate(config: ExperimentConfig, threads: int = 1) -> list[tuple]:
     table = []
     for n in map(int, config.n_grid):
         a_n = compute_norming(config.model, n)
-        args = [
-            (config.model, n, config.master_seed, rep, config.t_values, 0.5 * a_n, a_n)
-            for rep in range(config.replications)
-        ]
+        args = [(config.model, n, config.master_seed, rep, config.t_values, 0.5 * a_n, a_n)
+                for rep in range(config.replications)]
         terms = [term for chunk in _map_ordered(_audit_one, args, threads) for term in chunk]
-        table.append((0.5 * a_n, a_n, terms, *audit_pair_moments(config.model, n, a_n)))
+        table.append({name: np.array([getattr(x, name) for x in terms]) for name in AUDIT_COLUMNS})
     return table
 
 
-_DERIVATIONS = {  # kind -> (table row -> run, runs -> trends)
+_DERIVATIONS = {  # kind -> ((config, n, columns) -> run, runs -> trends)
     "T1": (_gaussian_run, _ks_trend),
     "T2": (_stable_run, _ks_trend),
     "LLN": (_lln_run, lambda runs: {}),
@@ -442,7 +453,7 @@ _DERIVATIONS = {  # kind -> (table row -> run, runs -> trends)
 }
 
 
-def derive_result(config: ExperimentConfig, table: list[tuple],
+def derive_result(config: ExperimentConfig, table: list[dict],
                   elapsed_seconds: float = 0.0) -> ExperimentResult:
     """Table -> result, the one place that computes KS tests, deficits and trends.
 
@@ -452,7 +463,7 @@ def derive_result(config: ExperimentConfig, table: list[tuple],
     """
     _check_hypothesis(config)
     derive_run, derive_trends = _DERIVATIONS[config.theorem]
-    runs = [derive_run(config, int(n), *row) for n, row in zip(config.n_grid, table, strict=True)]
+    runs = [derive_run(config, int(n), cols) for n, cols in zip(config.n_grid, table, strict=True)]
     return ExperimentResult(config, runs, derive_trends(runs), elapsed_seconds)
 
 

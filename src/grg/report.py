@@ -4,10 +4,12 @@ Payload files (result.csv, audit.csv, summary.json, the SVGs) are byte
 stable: re-running the same config and master seed reproduces them
 exactly.  Timestamps and wall-clock numbers live only in manifest.json.
 
-CSV schema (fixed): ``n,replication,statistic,edge_count,L_n``.  For
-the stable-limit experiment the ``statistic`` column holds the edge
+CSV schema (fixed): ``n,replication`` and then the run's columns of the
+same names, ``statistic,edge_count,L_n`` in result.csv and
+``t,c_n,a_n`` and the audit terms in audit.csv (see ``_CSV``).  For the
+stable-limit experiment the ``statistic`` column holds the edge
 statistic; the weight-sum statistic is recoverable from the L_n column.
-Floats are written with repr, which round-trips, so :func:`read_run`
+Values are written with repr, which round-trips, so :func:`read_run`
 rebuilds a finished run's table exactly and derives its result again.
 """
 
@@ -24,11 +26,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .limits import (
-    AUDIT_TERM_NAMES,
-    AuditTerms,
+    AUDIT_COLUMNS,
     ExperimentConfig,
     ExperimentResult,
-    audit_pair_moments,
     derive_result,
     replicate_edges,
     replication_weights,
@@ -39,9 +39,9 @@ __all__ = ["RunManifest", "emit_report", "read_run", "read_json", "config_to_dic
            "config_from_dict"]
 
 SCHEMA_VERSION = 1
-RESULT_CSV_HEADER = "n,replication,statistic,edge_count,L_n"
-_AUDIT_FIELDS = ("t", "c_n", "a_n", *AUDIT_TERM_NAMES)
-AUDIT_CSV_HEADER = "n,replication," + ",".join(_AUDIT_FIELDS)
+# kind -> the CSV's name and the run columns that follow n,replication in it
+_CSV = {**dict.fromkeys(("T1", "T2", "LLN"), ("result.csv", ("statistic", "edge_count", "L_n"))),
+        "AUDIT": ("audit.csv", AUDIT_COLUMNS)}
 
 
 @dataclass(eq=False)
@@ -266,24 +266,18 @@ def emit_report(result: ExperimentResult, out_dir) -> RunManifest:
         "results": [run.row for run in result.runs],
         **result.trends,
     }
-    if config.theorem == "AUDIT":
-        outputs = ["audit.csv"]
-        n_t = len(config.t_values)
-        lines = [AUDIT_CSV_HEADER]
-        for point in result.runs:
-            for k, term in enumerate(point.terms):
-                values = ",".join(repr(getattr(term, name)) for name in _AUDIT_FIELDS)
-                lines.append(f"{term.n},{k // n_t},{values}")
-    else:
-        outputs = ["result.csv"]
-        lines = [RESULT_CSV_HEADER]
-        for run in result.runs:
-            columns = (run.columns[name] for name in ("statistic", "edge_count", "L_n"))
-            for rep, (stat, ec, l_n) in enumerate(zip(*columns)):
-                lines.append(f"{run.n},{rep},{float(stat)!r},{int(ec)},{float(l_n)!r}")
+    csv_name, names = _CSV[config.theorem]
+    outputs = [csv_name]
+    lines = [",".join(("n", "replication", *names))]
+    for run in result.runs:
+        columns = [run.columns[name].tolist() for name in names]
+        per_rep = len(columns[0]) // config.replications
+        lines += [f"{run.n},{k // per_rep}," + ",".join(map(repr, values))
+                  for k, values in enumerate(zip(*columns))]
+        if config.theorem in _FIGURES:
             outputs.append(f"hist_{run.n}.svg")
             _FIGURES[config.theorem](out / outputs[-1], run)
-    _write_lines(out / outputs[0], lines)
+    _write_lines(out / csv_name, lines)
     _json_dump(out / "summary.json", summary)
     manifest = RunManifest(
         config=config_to_dict(config),
@@ -317,76 +311,58 @@ def _finite(field: str) -> float:
     return value
 
 
-def _read_csv(path: Path, header: str, types: tuple, n_rows: int) -> list[list]:
-    """The parsed rows of a complete CSV that has ``header`` and ``n_rows`` rows."""
+def _read_table(run_dir: Path, config: ExperimentConfig, threads: int) -> list[dict]:
+    """Per n, the named columns of the run's result.csv / audit.csv, checked as read_run says."""
+    csv_name, names = _CSV[config.theorem]
+    reps, per_rep = config.replications, (len(config.t_values) if config.theorem == "AUDIT" else 1)
+    n_rows = len(config.n_grid) * reps * per_rep
     try:
-        lines = path.read_bytes().decode("ascii").split("\n")
+        lines = (run_dir / csv_name).read_bytes().decode("ascii").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path.name}: {exc}") from None
-    if lines[0] != header or lines[-1] != "" or len(lines) != n_rows + 2:
-        raise ConfigError(f"{path.name} is not a complete table of the manifest's {n_rows} rows")
+        raise ConfigError(f"cannot read {csv_name}: {exc}") from None
+    if lines[0] != ",".join(("n", "replication", *names)) or lines[-1] or len(lines) != n_rows + 2:
+        raise ConfigError(f"{csv_name} is not a complete table of the manifest's {n_rows} rows")
+    types = (_count, _count, *(_count if name == "edge_count" else _finite for name in names))
     try:
-        return [
-            [parse(field) for parse, field in zip(types, line.split(","), strict=True)]
-            for line in lines[1:-1]
-        ]
+        rows = [[parse(field) for parse, field in zip(types, line.split(","), strict=True)]
+                for line in lines[1:-1]]
     except ValueError as exc:
-        raise ConfigError(f"{path.name} has a malformed row: {exc}") from None
-
-
-def _read_result_table(path: Path, config: ExperimentConfig, threads: int):
-    """Per n, the table row for ``derive_result`` and the statistic column."""
-    reps = config.replications
-    types = (_count, _count, _finite, _count, _finite)
-    rows = _read_csv(path, RESULT_CSV_HEADER, types, len(config.n_grid) * reps)
-    table, statistics = [], []
-    for k, n in enumerate(config.n_grid):
-        block = rows[k * reps : (k + 1) * reps]
-        if [row[:2] for row in block] != [[n, rep] for rep in range(reps)]:
-            raise ConfigError(f"result.csv rows at n={n} are not replications 0..{reps - 1}")
-        _, _, statistic, edge_counts, weight_sums = zip(*block)
-        if max(edge_counts) > n * (n - 1) // 2:
-            raise ConfigError(f"result.csv has an edge count above n(n-1)/2 at n={n}")
-        weight_sums = np.array(weight_sums, dtype=float)
-        cond_means = None
-        if config.theorem == "T2":
-            _, redrawn, cond_means = replicate_edges(config, n, threads, False)
-        else:
-            # replication 0 alone ties the table to the manifest's seed
-            redrawn = [replication_weights(config.model, n, config.master_seed, 0).sum_l]
-        if not np.array_equal(redrawn, weight_sums[: len(redrawn)]):
-            raise ConfigError(f"result.csv L_n at n={n} differs from the re-drawn weights")
-        table.append((np.array(edge_counts, dtype=np.int64), weight_sums, cond_means))
-        statistics.append(np.array(statistic, dtype=float))
-    return table, statistics
-
-
-def _read_audit_table(path: Path, config: ExperimentConfig):
-    """Per n, the audit terms of audit.csv and the exact pair moments."""
-    per_n = config.replications * len(config.t_values)
-    types = (_count, _count) + (_finite,) * len(_AUDIT_FIELDS)
-    rows = _read_csv(path, AUDIT_CSV_HEADER, types, len(config.n_grid) * per_n)
+        raise ConfigError(f"{csv_name} has a malformed row: {exc}") from None
+    del lines  # the text, kept to the end, would raise the peak memory of what follows
     table = []
     for k, n in enumerate(config.n_grid):
-        a_n = compute_norming(config.model, n)
-        block = rows[k * per_n : (k + 1) * per_n]
-        keys = [[n, rep, t, 0.5 * a_n, a_n]
-                for rep in range(config.replications) for t in config.t_values]
-        if [row[:5] for row in block] != keys:
-            raise ConfigError(f"audit.csv rows at n={n} do not match the manifest's config")
-        terms = [AuditTerms(row[0], *row[2:]) for row in block]
-        table.append((0.5 * a_n, a_n, terms, *audit_pair_moments(config.model, n, a_n)))
+        block = rows[k * reps * per_rep : (k + 1) * reps * per_rep]
+        if [row[:2] for row in block] != [[n, i // per_rep] for i in range(reps * per_rep)]:
+            raise ConfigError(f"{csv_name} rows at n={n} are not replications 0..{reps - 1}")
+        columns = {name: np.array(values) for name, values in zip(names, list(zip(*block))[2:])}
+        if "edge_count" in columns and columns["edge_count"].max() > n * (n - 1) // 2:
+            raise ConfigError(f"{csv_name} has an edge count above n(n-1)/2 at n={n}")
+        if config.theorem == "AUDIT":
+            a_n = compute_norming(config.model, n)
+            fixed = {"t": np.tile(config.t_values, reps), "c_n": [0.5 * a_n] * len(block),
+                     "a_n": [a_n] * len(block)}
+        elif config.theorem == "T2":
+            redrawn = replicate_edges(config, n, threads, False)
+            fixed, columns["cond_mean"] = {"L_n": redrawn["L_n"]}, redrawn["cond_mean"]
+        else:  # replication 0 alone ties the table to the manifest's seed
+            fixed = {"L_n": [replication_weights(config.model, n, config.master_seed, 0).sum_l]}
+        for name, values in fixed.items():
+            if not np.array_equal(values, columns[name][: len(values)]):
+                raise ConfigError(f"{csv_name} {name} at n={n} differs from the manifest's config")
+        table.append(columns)
     return table
 
 
 def read_run(run_dir, threads: int = 1):
     """Rebuild a finished run's result from its manifest and result.csv / audit.csv.
 
-    Samples no graph and evaluates no audit term: T2 re-draws only the
-    weights, for the conditional edge means; T1 and LLN re-draw the
-    weights of replication 0, to check the seed; the audit draws nothing
-    and recomputes its two exact pair moments.  ConfigError unless the
-    directory is a complete run.
+    Samples no graph and evaluates no audit term.  The table's n and
+    replication of each row (one row per t for the audit), its edge counts
+    (at most n(n-1)/2), the audit's t, c_n and a_n, and L_n must match the
+    config: T2 re-draws every replication's weights, also for the
+    conditional edge means, and T1 and LLN those of replication 0.  Every
+    column that the result derives again, such as the statistic, must
+    equal the table's.  ConfigError unless the directory is a complete run.
     """
     run_dir = Path(run_dir)
     manifest = read_json(run_dir / "manifest.json", "manifest.json")
@@ -395,11 +371,11 @@ def read_run(run_dir, threads: int = 1):
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ConfigError("manifest.json lacks the config or the experiment time") from None
     config = config_from_dict(raw)
-    if config.theorem == "AUDIT":
-        return derive_result(config, _read_audit_table(run_dir / "audit.csv", config), elapsed)
-    table, statistics = _read_result_table(run_dir / "result.csv", config, threads)
+    table = _read_table(run_dir, config, threads)
     result = derive_result(config, table, elapsed)
-    for run, statistic in zip(result.runs, statistics):
-        if not np.array_equal(run.columns["statistic"], statistic):
-            raise ConfigError(f"result.csv statistic at n={run.n} disagrees with edge_count")
+    csv_name, names = _CSV[config.theorem]
+    for run, columns in zip(result.runs, table):
+        for name in names:
+            if not np.array_equal(run.columns[name], columns[name]):
+                raise ConfigError(f"{csv_name} {name} at n={run.n} contradicts the other columns")
     return result

@@ -339,7 +339,8 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
     """Closed-form (EW, Var W, EW^2); infinite entries are math.inf.
 
     Constant weights are resolved at the vertex count, so ``n`` is
-    required for that model and ignored otherwise.
+    required for that model and ignored otherwise.  A moment that the
+    law has finite but a double cannot hold raises OverflowError.
     """
     if isinstance(model, ConstantWeights):
         if n is None:
@@ -347,34 +348,45 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
         v = model.resolved_value(n)
         return Moments(v, 0.0, v * v)
     if isinstance(model, ExponentialWeights):
-        ew = 1.0 / model.rate
-        return Moments(ew, ew * ew, 2.0 * ew * ew)
+        ew = _finite(model, "E[W]", lambda: 1.0 / model.rate)
+        return Moments(ew, ew * ew, _finite(model, "E[W^2]", lambda: 2.0 * ew * ew))
     if isinstance(model, LogNormalWeights):
-        ew = math.exp(model.mu + 0.5 * model.sigma**2)
-        ew2 = math.exp(2 * model.mu + 2 * model.sigma**2)
+        ew = _finite(model, "E[W]", lambda: math.exp(model.mu + 0.5 * model.sigma**2))
+        ew2 = _finite(model, "E[W^2]", lambda: math.exp(2 * model.mu + 2 * model.sigma**2))
         return Moments(ew, ew2 - ew * ew, ew2)
     if isinstance(model, GammaWeights):
-        ew = model.shape * model.scale
-        var = model.shape * model.scale**2
-        return Moments(ew, var, var + ew * ew)
+        ew = _finite(model, "E[W]", lambda: model.shape * model.scale)
+        var = _finite(model, "Var W", lambda: model.shape * model.scale**2)
+        return Moments(ew, var, _finite(model, "E[W^2]", lambda: var + ew * ew))
     if isinstance(model, ParetoWeights):
         a, xm = model.alpha, model.xm
-        ew = a * xm / (a - 1.0) if a > 1 else math.inf
-        ew2 = a * xm * xm / (a - 2.0) if a > 2 else math.inf
+        ew = _finite(model, "E[W]", lambda: a * xm / (a - 1.0)) if a > 1 else math.inf
+        ew2 = _finite(model, "E[W^2]", lambda: a * xm * xm / (a - 2.0)) if a > 2 else math.inf
         var = ew2 - ew * ew if math.isfinite(ew2) else math.inf
         return Moments(ew, var, ew2)
     if isinstance(model, ParetoLogWeights):
         a, xm = model.alpha, model.xm
         s = 1.0 / (a - 1.0)
-        ew = xm * (1.0 + s + s * s)
+        ew = _finite(model, "E[W]", lambda: xm * (1.0 + s + s * s))
         if a > 2:
             q = 1.0 / (a - 2.0)
-            ew2 = xm * xm * (1.0 + 2.0 * q + 2.0 * q * q)
+            ew2 = _finite(model, "E[W^2]", lambda: xm * xm * (1.0 + 2.0 * q + 2.0 * q * q))
             var = ew2 - ew * ew
         else:
             ew2 = var = math.inf
         return Moments(ew, var, ew2)
     raise UnsupportedModelError(f"unknown weight model {model!r}")
+
+
+def _finite(model: WeightModel, quantity: str, closed_form) -> float:
+    """``closed_form()``, which the law has finite; OverflowError naming it if it overflows."""
+    try:
+        value = closed_form()
+    except OverflowError:  # math.exp or ** beyond the largest double
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"{quantity} of {model_to_config(model)} overflows a double")
+    return value
 
 
 def truncated_second_moment(model: WeightModel, x: float) -> float:
@@ -424,10 +436,10 @@ def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
 
 def tail_params(model: WeightModel) -> TailParams | None:
     """Tail descriptor for the heavy-tailed models, None otherwise."""
-    if isinstance(model, ParetoWeights):
-        return TailParams(model.alpha, model.xm**model.alpha, "constant", model.xm)
-    if isinstance(model, ParetoLogWeights):
-        return TailParams(model.alpha, model.xm**model.alpha, "logarithmic", model.xm)
+    if isinstance(model, (ParetoWeights, ParetoLogWeights)):
+        c = _finite(model, "xm**alpha", lambda: model.xm**model.alpha)
+        h_kind = "constant" if isinstance(model, ParetoWeights) else "logarithmic"
+        return TailParams(model.alpha, c, h_kind, model.xm)
     return None
 
 

@@ -42,6 +42,13 @@ TINY_SUMMARY_SHA256 = {
     "LLN": "f0996182df9bafe7ce3769dc133927fdfe4845000f3fb1ade18fa1fa1445c18f",
     "AUDIT": "e5ea1df46f3e6e10f84757b2ce7aed01a214fd09c22e6e453f3db2b0f1015f83",
 }
+# sha256 of each TINY_RUNS run's result.csv or audit.csv, under the same rule.
+TINY_TABLE_SHA256 = {
+    "T1": "acdb34335c346b627ea8d6c99cdd6f397e917b8ff718feaa1c59bca18a6c28b8",
+    "T2": "25fd0b23d4740b063c81070932a0bc5a7c5398c1654f3d393eccfd8815710dea",
+    "LLN": "e014f7fb224f8b4b074439d35d20a0b5ed382087c8a4fcfdf475e17de51b4707",
+    "AUDIT": "edbb035acce6b8468b6efa9598ef5682164062074da0d1154057f5f10a893964",
+}
 
 
 def write_config(path, **overrides):
@@ -158,6 +165,13 @@ class TestExperimentCommand:
                      "--threads", "1"]) == 0
         digest = hashlib.sha256((tmp_path / "run" / "summary.json").read_bytes()).hexdigest()
         assert digest == TINY_SUMMARY_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", sorted(TINY_RUNS))
+    def test_table_bytes_are_pinned(self, finished_runs, kind):
+        """finished_runs holds each TINY_RUNS run at --threads 1."""
+        table = "audit.csv" if kind == "AUDIT" else "result.csv"
+        digest = hashlib.sha256((finished_runs[kind] / table).read_bytes()).hexdigest()
+        assert digest == TINY_TABLE_SHA256[kind]
 
     def test_seed_flag_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "t1.json")
@@ -492,6 +506,13 @@ MALFORMED_RUNS = {
     "audit-norming-differs": (
         "AUDIT", "audit.csv", lambda text: edit_csv(text, 1, 4, lambda f: repr(float(f) * 2))
     ),
+    "audit-rows-out-of-order": ("AUDIT", "audit.csv", swap_rows),
+    "audit-csv-bad-header": (
+        "AUDIT", "audit.csv", lambda text: "n,replication,t" + text[text.index("\n"):]
+    ),
+    "audit-term-not-finite": (  # t_c of the first row
+        "AUDIT", "audit.csv", lambda text: edit_csv(text, 1, 10, lambda f: "nan")
+    ),
 }
 
 
@@ -613,13 +634,26 @@ READ_AS_OTHER_VALUES = [
     ("model", {"kind": "pareto", "alpha": "2.5", "xm": 1}),  # T1 would run it at alpha = 2.5
     ("t_values", [True, "2"]),
 ]
-# Configs whose closed-form moments or audit terms overflow a float.
-OVERFLOWING = [
-    {**TINY_T1, "model": {"kind": "lognormal", "mu": 0, "sigma": 30}},  # analytic_moments
-    {**TINY_T1, "model": {"kind": "pareto", "alpha": 2.5, "xm": 1e300}},  # tail_params
-    {**TINY_T1, "model": {"kind": "pareto", "alpha": 1.5, "xm": 1.0}, "theorem": "AUDIT",
-     "replications": 2, "t_values": [1e308]},  # proof_audit
-]
+# Configs whose closed-form moments or audit terms overflow a float, by test id, each with
+# the quantity that the error must name.
+OVERFLOWING = {
+    "lognormal": ({**TINY_T1, "model": {"kind": "lognormal", "mu": 0, "sigma": 30}}, "E[W^2]"),
+    "pareto": ({**TINY_T1, "model": {"kind": "pareto", "alpha": 2.5, "xm": 1e300}}, "xm**alpha"),
+    "audit": ({**TINY_T1, "model": PARETO, "theorem": "AUDIT", "replications": 2,
+               "t_values": [1e308]}, "selfloop_bound"),
+    # each law below has a finite second moment, which T1 once refused as infinite
+    "gamma-shape": ({**TINY_T1, "model": {"kind": "gamma", "shape": 1e300, "scale": 1}},
+                    "E[W^2]"),
+    "exponential-rate": ({**TINY_T1, "model": {"kind": "exponential", "rate": 1e-300}},
+                         "E[W^2]"),
+    "gamma-scale": ({**TINY_T1, "model": {"kind": "gamma", "shape": 1, "scale": 1e300}},
+                    "Var W"),
+    "lognormal-mu": ({**TINY_T1, "model": {"kind": "lognormal", "mu": 700, "sigma": 1}},
+                     "E[W^2]"),
+    # |t|^3 is a double, but its product with L_n in i1_bound is not; it was written as inf
+    "audit-product": ({**TINY_T1, "model": PARETO, "theorem": "AUDIT", "replications": 2,
+                       "t_values": [5e102]}, "i1_bound"),
+}
 INVALID_FIELDS = {
     "model": JUNK + [[], {}, {"kind": "nosuch"}, {"kind": "exponential"},
                      {"kind": "exponential", "rate": -1.0},
@@ -672,14 +706,15 @@ class TestMalformedInput:
         assert code == 1 and err.startswith("config error:"), err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("config", OVERFLOWING, ids=["lognormal", "pareto", "audit"])
-    def test_overflow_is_a_numerical_failure(self, tmp_path, config):
+    @pytest.mark.parametrize("case", list(OVERFLOWING))
+    def test_overflow_is_a_numerical_failure(self, tmp_path, case):
+        config, quantity = OVERFLOWING[case]
         (tmp_path / "c.json").write_text(json.dumps(config))
         command = "audit" if config["theorem"] == "AUDIT" else "experiment"
         code, err = run_cli([command, "--config", str(tmp_path / "c.json"),
                              "--out", str(tmp_path / "out"), "--threads", "1"])
         assert code == 2 and err.startswith("numerical failure:"), err
-        assert "Traceback" not in err
+        assert quantity in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -361,7 +361,7 @@ class TestProofAudit:
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (100,), 6, 555, "AUDIT")
         a = run_proof_audit(cfg, threads=1)
         b = run_proof_audit(cfg, threads=2)
-        assert [t.t_c for t in a.runs[0].terms] == [t.t_c for t in b.runs[0].terms]
+        np.testing.assert_array_equal(a.runs[0].columns["t_c"], b.runs[0].columns["t_c"])
 
     def test_audit_requires_heavy_tail(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (100,), 5, 1, "AUDIT")
