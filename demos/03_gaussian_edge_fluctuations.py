@@ -11,7 +11,7 @@ from grg import (
     ConstantWeights,
     ExperimentConfig,
     ExponentialWeights,
-    run_gaussian_limit,
+    run_experiment,
 )
 
 for label, model, grid, reps in (
@@ -22,7 +22,7 @@ for label, model, grid, reps in (
     print(label)
     print("=" * 64)
     cfg = ExperimentConfig(model, grid, reps, master_seed=33, theorem="T1")
-    res = run_gaussian_limit(cfg)
+    res = run_experiment(cfg)
     print(f"{'n':>6} {'KS D':>9} {'p-value':>9} {'mean':>8} {'std':>7}")
     for run in res.runs:
         row = run.row

@@ -25,7 +25,7 @@ from grg import (
     ParetoWeights,
     StableParams,
     ks_one_sample,
-    run_stable_limit,
+    run_experiment,
     sample_stable,
     stable_cdf_batch,
 )
@@ -33,7 +33,7 @@ from grg import (
 cfg = ExperimentConfig(
     ParetoWeights(1.5, 1.0), (200, 1000, 5000), 600, master_seed=314159, theorem="T2"
 )
-res = run_stable_limit(cfg)
+res = run_experiment(cfg)
 
 print("=" * 72)
 print("weight-sum statistic vs edge statistic, Pareto(1.5) weights")

@@ -22,14 +22,14 @@ simply record that.
 
 import time
 
-from grg import ExperimentConfig, ParetoWeights, run_proof_audit
+from grg import ExperimentConfig, ParetoWeights, run_experiment
 
 cfg = ExperimentConfig(
     ParetoWeights(1.5, 1.0), (100, 1000, 10_000, 100_000, 1_000_000), 10,
     master_seed=555, theorem="AUDIT", t_values=(1.0,),
 )
 t0 = time.perf_counter()
-res = run_proof_audit(cfg)
+res = run_experiment(cfg)
 elapsed = time.perf_counter() - t0
 
 names = ("selfloop_bound", "i1_bound", "i3_bound", "t_a", "t_b", "t_c", "t_d")

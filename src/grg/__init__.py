@@ -30,8 +30,7 @@ _EXPORTS = {
     "stable": "StableParams sample_stable stable_cdf_batch",
     "stats": "KsResult kolmogorov_sf ks_one_sample ks_two_sample normal_cdf",
     "limits": "AuditTerms ExperimentConfig ExperimentResult "
-              "normal_limit_statistic proof_audit run_experiment run_gaussian_limit run_lln "
-              "run_proof_audit run_stable_limit stable_limit_statistic",
+              "normal_limit_statistic proof_audit run_experiment stable_limit_statistic",
     "report": "RunManifest config_from_dict config_to_dict emit_report read_run",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

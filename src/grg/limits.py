@@ -1,22 +1,22 @@
 """Experiment orchestration: limit-law runs and the proof audit.
 
-Three Monte Carlo experiments and one deterministic audit:
+Three Monte Carlo experiments and one deterministic audit, one kind
+each, all run by ``run_experiment``:
 
-* ``run_gaussian_limit`` -- the centered edge count over
-  sqrt(n*(2*EW + Var W)) against the standard normal (finite second
-  moment required).
-* ``run_stable_limit`` -- for heavy tails with index alpha in (1, 2),
-  the edge statistic (2*E_n - n*EW)/a_n against the weight-sum
-  statistic (L_n - n*EW)/a_n from the same replications; both converge
-  to the same stable law, so a two-sample KS needs no knowledge of its
-  scale or skewness.  Their difference splits into the conditional
+* ``T1`` -- the centered edge count over sqrt(n*(2*EW + Var W))
+  against the standard normal (finite second moment required).
+* ``T2`` -- for heavy tails with index alpha in (1, 2), the edge
+  statistic (2*E_n - n*EW)/a_n against the weight-sum statistic
+  (L_n - n*EW)/a_n from the same replications; both converge to the
+  same stable law, so a two-sample KS needs no knowledge of its scale
+  or skewness.  Their difference splits into the conditional
   fluctuation 2*E_n - E[2*E_n | W] and the conditional-mean deficit
   L_n - E[2*E_n | W].  Both are o(a_n), but the deficit decays only like
   n^(-1/6) log n at alpha = 1.5, so each run computes it exactly per
   replication and also reports the KS of the compensated statistic,
   the edge statistic plus the deficit.
-* ``run_lln`` -- E_n/n against EW/2.
-* ``run_proof_audit`` -- the deterministic bound terms that control the
+* ``LLN`` -- E_n/n against EW/2.
+* ``AUDIT`` -- the deterministic bound terms that control the
   characteristic-function expansion of the edge count, evaluated on
   sampled weight vectors, and two exact pair moments of the weight law;
   all of them must drift to zero as n grows.
@@ -61,10 +61,6 @@ __all__ = [
     "ExperimentResult",
     "normal_limit_statistic",
     "stable_limit_statistic",
-    "run_gaussian_limit",
-    "run_stable_limit",
-    "run_lln",
-    "run_proof_audit",
     "run_experiment",
     "simulate",
     "derive_result",
@@ -276,11 +272,8 @@ def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> Audi
     sum_sq = weights.sum_sq
     abs_t = abs(t)
     selfloop = 2.0 * abs_t / c_n * sum_sq / l_n
-    try:
-        i1 = abs_t**3 * l_n / (12.0 * c_n**3)
-    except OverflowError:  # the ** of a float raises where its product would give inf
-        i1 = math.inf
-    i3 = t * t / (c_n * c_n) * (sum_sq / n) ** 2 * (n / l_n) ** 2
+    i1 = _power(abs_t, 3) * l_n / (12.0 * _power(c_n, 3))
+    i3 = t * t / (c_n * c_n) * _power(sum_sq / n, 2) * _power(n / l_n, 2)
     sum_b, sum_c, sum_d = pair_sums(weights)
     terms = AuditTerms(
         n=n,
@@ -299,6 +292,14 @@ def proof_audit(weights: WeightVector, t: float, c_n: float, a_n: float) -> Audi
         if not math.isfinite(getattr(terms, name)):
             raise OverflowError(f"audit term {name} at n={n}, t={t} overflows a double")
     return terms
+
+
+def _power(x: float, k: int) -> float:
+    """x**k, or inf where the ** of a float raises rather than giving inf."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
 
 
 def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, float]:
@@ -351,9 +352,6 @@ def _exp_gamma_below(k: int, b: float, c: float) -> float:
 def _gamma_upper(k: int, y: float) -> float:
     """Q(k, y) = e^(-y) sum_{j<k} y^j / j!, the Gamma(k, 1) survival at y."""
     return math.exp(-y) * sum(y**j / math.factorial(j) for j in range(k))
-
-
-mc_pair_moments = audit_pair_moments  # its former name, still a perfbench per-layer metric
 
 
 def _audit_one(args):
@@ -468,48 +466,23 @@ def derive_result(config: ExperimentConfig, table: list[dict],
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Simulate, then derive the result; ``elapsed_seconds`` covers both."""
+    """Simulate, then derive the result; ``elapsed_seconds`` covers both.
+
+    A T2 run carries each replication's conditional-mean deficit, exact,
+    in each :class:`RunRecord`'s ``columns["deficit"]``, and the KS of the
+    compensated statistic in its ``row`` (``ks_d_compensated``,
+    ``ks_p_compensated``).  The audit uses the heavy-tailed normings
+    c_n = a_n / 2, as its expansion matters only when the variance is
+    infinite; a finite-variance audit calls :func:`proof_audit` directly.
+    """
     t0 = time.perf_counter()
     result = derive_result(config, simulate(config, threads))
     result.elapsed_seconds = time.perf_counter() - t0
     return result
 
 
-def _run_kind(kind: str, config: ExperimentConfig, threads: int):
-    if config.theorem != kind:
-        raise ConfigError(f"config is for {config.theorem}, not {kind}")
-    return run_experiment(config, threads)
-
-
-def run_gaussian_limit(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """KS of the normalized edge count against the standard normal, per n."""
-    return _run_kind("T1", config, threads)
-
-
-def run_stable_limit(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Two-sample KS between the weight-sum and edge statistics, per n.
-
-    Both statistics come from the same replications, so their dependence
-    is preserved.  At desk-scale n the raw KS rejects because of the
-    conditional-mean deficit (see the module docstring); each
-    :class:`RunRecord` carries that deficit per replication, computed
-    exactly, in ``columns["deficit"]``, and the KS of the compensated
-    statistic in ``row["ks_d_compensated"]``.
-    """
-    return _run_kind("T2", config, threads)
-
-
-def run_lln(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Mean and spread of E_n/n per n; the target is EW/2."""
-    return _run_kind("LLN", config, threads)
-
-
-def run_proof_audit(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Audit-term trajectories over the n grid, one weight draw per seed.
-
-    Normings follow the heavy-tailed convention c_n = a_n / 2 because
-    the audited expansion is only interesting when the variance is
-    infinite; finite-variance audits should call :func:`proof_audit`
-    directly with the gaussian-limit normings.
-    """
-    return _run_kind("AUDIT", config, threads)
+# Former names, kept only because perfbench's BENCHMARK.json declares per-layer
+# metrics under them; they go when ROADMAP item 1 renames those metrics.  The
+# tracer counts each call under the name defined first, so these read 0 calls.
+mc_pair_moments = audit_pair_moments
+run_gaussian_limit = run_stable_limit = run_proof_audit = run_experiment

@@ -393,13 +393,15 @@ def truncated_second_moment(model: WeightModel, x: float) -> float:
     """E[W^2; W <= x] in closed form; only the power-law models have it."""
     if not (x > 0):
         raise ParameterError(f"truncation point must be positive, got {x}")
+    moment = f"E[W^2; W <= {x}]"
     if isinstance(model, ParetoWeights):
         a, xm = model.alpha, model.xm
         if x <= xm:
             return 0.0
         if a == 2.0:
-            return 2.0 * xm * xm * math.log(x / xm)
-        return a * xm**a * (x ** (2.0 - a) - xm ** (2.0 - a)) / (2.0 - a)
+            return _finite(model, moment, lambda: 2.0 * xm * xm * math.log(x / xm))
+        return _finite(model, moment,
+                       lambda: a * xm**a * (x ** (2.0 - a) - xm ** (2.0 - a)) / (2.0 - a))
     if isinstance(model, ParetoLogWeights):
         a, xm = model.alpha, model.xm
         if x <= xm:
@@ -411,7 +413,7 @@ def truncated_second_moment(model: WeightModel, x: float) -> float:
         else:
             ia = (r ** (2.0 - a) - 1.0) / (2.0 - a)
             ib = (r ** (2.0 - a) * ((2.0 - a) * math.log(r) - 1.0) + 1.0) / (2.0 - a) ** 2
-        return xm * xm * ((a - 1.0) * ia + a * ib)
+        return _finite(model, moment, lambda: xm * xm * ((a - 1.0) * ia + a * ib))
     raise UnsupportedModelError(f"no closed-form truncated moments for {model!r}")
 
 
@@ -419,18 +421,19 @@ def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
     """E[W; W >= x] in closed form; only the power-law models have it."""
     if not (x > 0):
         raise ParameterError(f"truncation point must be positive, got {x}")
+    moment = f"E[W; W >= {x}]"
     if isinstance(model, ParetoWeights):
         a, xm = model.alpha, model.xm
         if a <= 1:
             return math.inf
-        return a * xm**a / (a - 1.0) * max(x, xm) ** (1.0 - a)
+        return _finite(model, moment, lambda: a * xm**a / (a - 1.0) * max(x, xm) ** (1.0 - a))
     if isinstance(model, ParetoLogWeights):
         a, xm = model.alpha, model.xm
         r = max(x, xm) / xm
         lr = math.log(r)
         head = r ** (1.0 - a) * (1.0 + lr)
         tail = r ** (1.0 - a) / (a - 1.0) + r ** (1.0 - a) * ((a - 1.0) * lr + 1.0) / (a - 1.0) ** 2
-        return xm * (head + tail)
+        return _finite(model, moment, lambda: xm * (head + tail))
     raise UnsupportedModelError(f"no closed-form truncated moments for {model!r}")
 
 

@@ -32,10 +32,7 @@ from grg import (
     compute_norming,
     emit_report,
     lemma1_ratio_check,
-    run_gaussian_limit,
-    run_lln,
-    run_proof_audit,
-    run_stable_limit,
+    run_experiment,
     sample_graph_fast,
     sample_weights,
     truncated_second_moment,
@@ -87,7 +84,7 @@ def test_03_gaussian_limit():
     cfg = ExperimentConfig(
         ExponentialWeights(1.0), (50, 2000), 2000, master_seed=33, theorem="T1"
     )
-    res = run_gaussian_limit(cfg)
+    res = run_experiment(cfg)
     d50, d2000 = res.runs[0].row["ks_d"], res.runs[1].row["ks_d"]
     p2000 = res.runs[1].row["ks_p"]
     elapsed = time.perf_counter() - t0
@@ -110,7 +107,7 @@ def test_04_stable_limit_two_sample():
     cfg = ExperimentConfig(
         ParetoWeights(1.5, 1.0), (200, 5000), 2000, master_seed=314159, theorem="T2"
     )
-    res = run_stable_limit(cfg)
+    res = run_experiment(cfg)
     small, large = (run.row for run in res.runs)
     d200, d5000 = small["ks_d"], large["ks_d"]
     p_raw, p_comp = large["ks_p"], large["ks_p_compensated"]
@@ -140,7 +137,7 @@ def test_05_lln():
     cfg = ExperimentConfig(
         ExponentialWeights(1.0), (10_000,), 100, master_seed=90210, theorem="LLN"
     )
-    res = run_lln(cfg)
+    res = run_experiment(cfg)
     mean = res.runs[0].row["mean_ratio"]
     assert verdict("05 law of large numbers", abs(mean - 0.5) <= 0.02,
                    f"mean E_n/n = {mean:.5f} within 0.5 +- 0.02")
@@ -173,7 +170,7 @@ def test_07_proof_audit_trends():
         ParetoWeights(1.5, 1.0), (100, 1000, 10_000), 20, master_seed=555,
         theorem="AUDIT", t_values=(1.0,),
     )
-    res = run_proof_audit(cfg)
+    res = run_experiment(cfg)
     trends = res.trends["median_trends_decreasing"]["1.0"]
     elapsed = time.perf_counter() - t0
     ok = all(trends.values()) and elapsed <= 300.0
@@ -225,7 +222,7 @@ def test_10_byte_identical_reports(tmp_path):
     )
     paths = []
     for name, threads in (("a", 1), ("b", 2), ("c", 1)):
-        res = run_gaussian_limit(cfg, threads=threads)
+        res = run_experiment(cfg, threads=threads)
         emit_report(res, tmp_path / name)
         paths.append(tmp_path / name)
     csv_bytes = [(p / "result.csv").read_bytes() for p in paths]

@@ -301,6 +301,15 @@ class TestLemma1Command:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("model, x", [("paretolog:alpha=1.5,xm=1e200", "1e201"),
+                                          ("pareto:alpha=1.5,xm=1e150", "1e308")])
+    def test_overflowing_moment_is_exit_2(self, model, x, capsys):
+        """An exact moment beyond a double is a numerical failure, not an inf in the table."""
+        assert main(["lemma1", "--model", model, "--x", x]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+        assert "E[W^2; W <= " in err
+
 
 @pytest.fixture(scope="module")
 def finished_runs(tmp_path_factory):
@@ -356,8 +365,7 @@ _PACKAGE_NAMES = (
     "conditional_edge_mean pair_sums sample_graph_fast write_edge_list StableParams sample_stable "
     "stable_cdf_batch KsResult kolmogorov_sf "
     "ks_one_sample ks_two_sample normal_cdf AuditTerms ExperimentConfig ExperimentResult "
-    "normal_limit_statistic proof_audit run_experiment "
-    "run_gaussian_limit run_lln run_proof_audit run_stable_limit stable_limit_statistic "
+    "normal_limit_statistic proof_audit run_experiment stable_limit_statistic "
     "RunManifest config_from_dict config_to_dict emit_report read_run"
 ).split()
 
@@ -653,6 +661,10 @@ OVERFLOWING = {
     # |t|^3 is a double, but its product with L_n in i1_bound is not; it was written as inf
     "audit-product": ({**TINY_T1, "model": PARETO, "theorem": "AUDIT", "replications": 2,
                        "t_values": [5e102]}, "i1_bound"),
+    # sum(W^2)/n squared overflows in i3_bound; c_n**3 overflows too, but only in
+    # i1_bound's denominator, so i1_bound stays finite and i3_bound is named
+    "audit-xm": ({**TINY_T1, "model": {"kind": "pareto", "alpha": 1.5, "xm": 1e120},
+                  "theorem": "AUDIT", "replications": 2}, "i3_bound"),
 }
 INVALID_FIELDS = {
     "model": JUNK + [[], {}, {"kind": "nosuch"}, {"kind": "exponential"},

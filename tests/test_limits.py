@@ -29,10 +29,6 @@ from grg import (
     pair_sums,
     proof_audit,
     run_experiment,
-    run_gaussian_limit,
-    run_lln,
-    run_proof_audit,
-    run_stable_limit,
     sample_weights,
     stable_limit_statistic,
 )
@@ -192,29 +188,32 @@ class TestConfigValidation:
     def test_hypothesis_violations(self):
         heavy = ExperimentConfig(ParetoWeights(1.5, 1.0), (100,), 100, 1, "T1")
         with pytest.raises(HypothesisError):
-            run_gaussian_limit(heavy)
+            run_experiment(heavy)
         light = ExperimentConfig(ParetoWeights(2.5, 1.0), (100,), 100, 1, "T2")
         with pytest.raises(HypothesisError):
-            run_stable_limit(light)
+            run_experiment(light)
+        no_mean = ExperimentConfig(ParetoWeights(0.9, 1.0), (100,), 100, 1, "LLN")
+        with pytest.raises(HypothesisError, match="finite mean"):
+            run_experiment(no_mean)
 
 
 class TestGaussianRun:
     def test_er_special_case_accepts(self):
         """Constant weights (variance 0): denominator 2EW keeps the limit valid."""
         cfg = ExperimentConfig(ConstantWeights(2.0), (2000,), 500, 1234, "T1")
-        res = run_gaussian_limit(cfg)
+        res = run_experiment(cfg)
         assert res.runs[0].row["ks_p"] > 0.01, res.runs[0].row
 
     def test_statistic_mean_is_small(self):
         """Sample mean near 0; the O(1/sqrt(n)) centering bias stays inside 0.35."""
         cfg = ExperimentConfig(ExponentialWeights(1.0), (500,), 400, 5150, "T1")
-        res = run_gaussian_limit(cfg)
+        res = run_experiment(cfg)
         assert abs(res.runs[0].row["mean"]) < 0.35
 
     def test_deterministic_and_thread_invariant(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (120,), 100, 77, "T1")
-        a = run_gaussian_limit(cfg, threads=1)
-        b = run_gaussian_limit(cfg, threads=2)
+        a = run_experiment(cfg, threads=1)
+        b = run_experiment(cfg, threads=2)
         for name in ("statistic", "edge_count"):
             np.testing.assert_array_equal(a.runs[0].columns[name], b.runs[0].columns[name])
 
@@ -222,7 +221,7 @@ class TestGaussianRun:
 class TestStableRun:
     def test_paired_statistics_and_trend_fields(self):
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (100, 400), 150, 90, "T2")
-        res = run_stable_limit(cfg)
+        res = run_experiment(cfg)
         assert len(res.runs) == 2
         col, a_n = res.runs[0].columns, res.runs[0].row["a_n"]
         # the weight statistic is (L - n EW)/a_n for the same replications
@@ -235,8 +234,8 @@ class TestStableRun:
         """Deficits rebuilt from the weights; compensated KS thread invariant."""
         model = ParetoWeights(1.5, 1.0)
         cfg = ExperimentConfig(model, (100, 400), 120, 42, "T2")
-        a = run_stable_limit(cfg, threads=1)
-        b = run_stable_limit(cfg, threads=2)
+        a = run_experiment(cfg, threads=1)
+        b = run_experiment(cfg, threads=2)
         for ra, rb in zip(a.runs, b.runs):
             np.testing.assert_array_equal(ra.columns["deficit"], rb.columns["deficit"])
             assert ra.row == rb.row
@@ -261,7 +260,7 @@ class TestStableRun:
     def test_median_stabilizes_in_n(self):
         """Edge-statistic medians at n and 2n differ by less than 0.2."""
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (2000, 4000), 400, 1618, "T2")
-        res = run_stable_limit(cfg)
+        res = run_experiment(cfg)
         medians = [r.row["edge_stat_median"] for r in res.runs]
         assert abs(medians[1] - medians[0]) < 0.2, medians
 
@@ -269,7 +268,7 @@ class TestStableRun:
 class TestLlnRun:
     def test_exponential_half(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (10_000,), 100, 90210, "LLN")
-        res = run_lln(cfg)
+        res = run_experiment(cfg)
         row = res.runs[0].row
         assert row["target"] == 0.5
         assert abs(row["mean_ratio"] - 0.5) < 0.02
@@ -278,14 +277,14 @@ class TestLlnRun:
         """Pure ER: E[E_n]/n = (n-1) lam / (2n)."""
         n, lam = 1000, 2.0
         cfg = ExperimentConfig(ConstantWeights(lam), (n,), 60, 31337, "LLN")
-        res = run_lln(cfg)
+        res = run_experiment(cfg)
         exact = (n - 1) * lam / (2 * n)
         assert abs(res.runs[0].row["mean_ratio"] - exact) < 0.05
 
     def test_pareto_heavy_tail_mean(self):
         """Pareto(1.5): E_n/n sits near EW/2 = 1.5 at n = 1e5."""
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (10**5,), 50, 271828, "LLN")
-        res = run_lln(cfg)
+        res = run_experiment(cfg)
         assert abs(res.runs[0].row["mean_ratio"] - 1.5) < 0.1, res.runs[0].row
 
 
@@ -352,21 +351,21 @@ class TestProofAudit:
         cfg = ExperimentConfig(
             ParetoWeights(1.5, 1.0), (100, 1000), 10, 555, "AUDIT", (0.5, 1.0)
         )
-        res = run_proof_audit(cfg)
+        res = run_experiment(cfg)
         trends = res.trends["median_trends_decreasing"]
         for t in ("0.5", "1.0"):
             assert all(trends[t].values()), trends[t]
 
     def test_audit_threads_invariant(self):
         cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (100,), 6, 555, "AUDIT")
-        a = run_proof_audit(cfg, threads=1)
-        b = run_proof_audit(cfg, threads=2)
+        a = run_experiment(cfg, threads=1)
+        b = run_experiment(cfg, threads=2)
         np.testing.assert_array_equal(a.runs[0].columns["t_c"], b.runs[0].columns["t_c"])
 
     def test_audit_requires_heavy_tail(self):
         cfg = ExperimentConfig(ExponentialWeights(1.0), (100,), 5, 1, "AUDIT")
         with pytest.raises(HypothesisError):
-            run_proof_audit(cfg)
+            run_experiment(cfg)
 
 
 class TestPairMoments:
@@ -434,11 +433,6 @@ class TestDispatch:
         cfg = ExperimentConfig(ExponentialWeights(1.0), (200,), 100, 11, "LLN")
         res = run_experiment(cfg)
         assert res.runs[0].n == 200
-
-    def test_runner_rejects_mismatched_kind(self):
-        cfg = ExperimentConfig(ExponentialWeights(1.0), (200,), 100, 11, "LLN")
-        with pytest.raises(ConfigError):
-            run_gaussian_limit(cfg)
 
     def test_empty_result_refused_before_writing(self, tmp_path):
         from grg import emit_report
