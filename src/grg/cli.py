@@ -38,7 +38,8 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graph import descending_weights, sample_graph_fast, write_edge_list
-from .weights import lemma1_ratio_check, model_from_config, model_to_config, sample_weights
+from .weights import (LemmaRatios, lemma1_ratio_check, model_from_config, model_to_config,
+                      sample_weights)
 
 __all__ = ["main"]
 
@@ -123,14 +124,18 @@ def _cmd_sample(args) -> int:
         "degree_mean": float(graph.degrees.mean()),
         "candidates_examined": graph.candidates_examined,
     }
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if args.edges:
         write_edge_list(graph, args.edges)
     return 0
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout without one."""
+    if path:
+        Path(path).write_text(text, encoding="ascii")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_run(args) -> int:
@@ -157,24 +162,9 @@ def _cmd_lemma1(args) -> int:
     if not x_grid:
         raise ConfigError("need at least one x value")
     ratios = lemma1_ratio_check(model, x_grid)
-    lines = [
-        "x,trunc_second_exact,tail_first_exact,"
-        "ratio_second,ratio_tail_karamata,ratio_tail_alt"
-    ]
-    flagged = False
-    for r in ratios:
-        lines.append(
-            f"{r.x!r},{r.trunc_second_exact!r},{r.tail_first_exact!r},{r.ratio_second!r},"
-            f"{r.ratio_tail_karamata!r},{r.ratio_tail_alt!r}"
-        )
-        if abs(r.ratio_tail_alt - 1.0) > 0.05:
-            flagged = True
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
-    if flagged:
+    lines = [",".join(LemmaRatios._fields)] + [",".join(map(repr, r)) for r in ratios]
+    _write_text(args.out, "\n".join(lines) + "\n")
+    if any(abs(r.ratio_tail_alt - 1.0) > 0.05 for r in ratios):
         sys.stderr.write(
             "note: the alternative tail constant (2-alpha)/(alpha-1) disagrees with "
             "the exact tail moment; the Karamata constant alpha/(alpha-1) is the "

@@ -49,6 +49,9 @@ from .stats import KsResult, ks_one_sample, ks_two_sample, median, normal_cdf
 from .weights import (
     WeightModel,
     WeightVector,
+    _exp_gamma_below,
+    _gamma_upper,
+    _log_gamma_mixture,
     analytic_moments,
     compute_norming,
     sample_weights,
@@ -308,11 +311,9 @@ def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, f
         (1/a_n) * E[ W1^2 W2^2 ; W1 W2 <= n ]   and
         (n/a_n) * E[ W1 W2     ; W1 W2 >  n ].
 
-    Both models with a power-law tail have Gamma log-weights: log(W/xm)
-    is Exp(alpha) for Pareto and the mixture (alpha-1)/alpha Exp(alpha)
-    + 1/alpha Gamma(2, alpha) for ParetoLog.  So T = log(W1 W2 / xm^2)
-    is a mixture of Gamma(k, alpha) over k = 2 (Pareto) or k = 2, 3, 4
-    (ParetoLog), the cut is T <= c = log(n / xm^2), and per component
+    T = log(W1 W2 / xm^2) is the two-factor log-weight mixture of
+    ``weights``: Gamma(k, alpha) over k = 2 (Pareto) or k = 2, 3, 4
+    (ParetoLog).  The cut is T <= c = log(n / xm^2), and per component
 
         E[e^(2T); T <= c] = alpha^k * int_0^c t^(k-1) e^((2-alpha) t) dt / (k-1)!
         E[e^T;    T >  c] = (alpha/(alpha-1))^k * Q(k, (alpha-1) c),
@@ -320,38 +321,15 @@ def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, f
     with Q the regularized upper incomplete gamma function, a finite sum
     for integer k.  Only laws with such a tail and alpha > 1 qualify.
     """
-    tp = tail_params(model)
-    if tp is None or not tp.alpha > 1.0:
+    mixture = _log_gamma_mixture(model, 2)
+    a, xm = model.alpha, model.xm
+    if not a > 1.0:
         raise UnsupportedModelError("pair moments need a power-law tail with alpha > 1")
-    a, xm = tp.alpha, model.xm
-    if tp.h_kind == "constant":
-        mixture = {2: 1.0}
-    else:
-        p, q = (a - 1.0) / a, 1.0 / a
-        mixture = {2: p * p, 3: 2.0 * p * q, 4: q * q}
     c = max(math.log(n / (xm * xm)), 0.0)
     small = sum(w * a**k * _exp_gamma_below(k, 2.0 - a, c) for k, w in mixture.items())
     large = sum(w * (a / (a - 1.0)) ** k * _gamma_upper(k, (a - 1.0) * c)
                 for k, w in mixture.items())
     return xm**4 * small / a_n, n * xm**2 * large / a_n
-
-
-def _exp_gamma_below(k: int, b: float, c: float) -> float:
-    """int_0^c t^(k-1) e^(b t) dt / (k-1)! for c >= 0, any sign of b."""
-    x = b * c
-    if abs(x) < 2.0:  # the closed form cancels near x = 0; this series has no cancellation there
-        term, total = 1.0, 0.0
-        for i in range(40):
-            total += term / (k + i)
-            term *= x / (i + 1)
-        return c**k / math.factorial(k - 1) * total
-    poly = sum((-x) ** j / math.factorial(j) for j in range(k))
-    return (-1) ** (k - 1) * (math.exp(x) * poly - 1.0) / b**k
-
-
-def _gamma_upper(k: int, y: float) -> float:
-    """Q(k, y) = e^(-y) sum_{j<k} y^j / j!, the Gamma(k, 1) survival at y."""
-    return math.exp(-y) * sum(y**j / math.factorial(j) for j in range(k))
 
 
 def _audit_one(args):

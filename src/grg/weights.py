@@ -7,8 +7,9 @@ The module exposes:
   with exactly-summed totals,
 * ``analytic_moments`` -- closed-form mean / variance / second moment,
 * ``truncated_second_moment`` / ``truncated_first_moment_tail`` -- the
-  truncated moments E[W^2; W <= x] and E[W; W >= x], in closed form for
-  the two power-law models, the only ones lemma 1 and the norming take,
+  truncated moments E[W^2; W <= x] and E[W; W >= x] of the two power-law
+  models, as sums over the Gamma mixture that is the law of log(W/xm); the
+  ParetoLog draw and the audit's pair moments come from it too,
 * ``lemma1_ratio_check`` -- exact truncated moments against their
   regular-variation asymptotes,
 * ``compute_norming`` -- the scaling sequence a_n defined as the root of
@@ -54,15 +55,6 @@ _SEED_MASK = (1 << 64) - 1
 
 # The fast graph sampler numbers the n(n-1)/2 vertex pairs in int64.
 MAX_N = 1 << 32
-
-# ParetoLog draws: Newton stops once twice the error a step leaves is below
-# _NEWTON_TOL (the cap only bounds a stall); 2^27 + 1 splits a double in two.
-# Draws are inverted _NEWTON_BLOCK at a time, so that the dozen temporaries
-# of a step stay in cache (twice as fast at n = 1e6) and peak memory is O(n).
-_NEWTON_TOL = 2.0 ** -55
-_NEWTON_MAX_STEPS = 40
-_NEWTON_BLOCK = 1 << 14
-_DEKKER_SPLIT = 2.0 ** 27 + 1.0
 
 # Exact totals: _SUM_BLOCK values at a time, each split into hi, its leading
 # 27 bits (_HI_MASK on its int64 view), and lo = x - hi, which is exact.  The
@@ -193,7 +185,8 @@ class TailParams:
     def h(self, x):
         if self.h_kind == "constant":
             return np.ones_like(np.asarray(x, dtype=float))
-        return 1.0 + np.log(np.asarray(x, dtype=float) / self.x0)
+        with np.errstate(over="ignore", divide="ignore"):  # lemma 1 refuses an infinite h
+            return 1.0 + np.log(np.asarray(x, dtype=float) / self.x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,51 +281,24 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
             values **= -1.0 / model.alpha
         values *= model.xm
     elif isinstance(model, ParetoLogWeights):
-        values = rng.random(n)
-        np.subtract(1.0, values, out=values)
-        for k in range(0, n, _NEWTON_BLOCK):  # in place, block by block
-            values[k : k + _NEWTON_BLOCK] = _pareto_log_inverse_survival(
-                model, values[k : k + _NEWTON_BLOCK]
-            )
+        # log(W/xm) = (E1 + B E2)/alpha, B ~ Bernoulli(1/alpha) (see _log_gamma_mixture), and
+        # one uniform V on (0, 1] gives B E2 = max(0, -log(alpha V)): V <= 1/alpha has
+        # probability 1/alpha, and given that, alpha V is uniform.  So the draw holds two arrays.
+        v = rng.random(n)
+        values = rng.standard_exponential(n)
+        np.subtract(1.0, v, out=v)
+        np.log(v, out=v)
+        v += math.log(model.alpha)
+        np.minimum(v, 0.0, out=v)
+        values -= v
+        del v
+        values /= model.alpha
+        np.exp(values, out=values)
+        with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
+            values *= model.xm
     else:
         raise UnsupportedModelError(f"unknown weight model {model!r}")
     return WeightVector.from_values(values)
-
-
-def _pareto_log_inverse_survival(model: ParetoLogWeights, u: np.ndarray) -> np.ndarray:
-    """Solve survival(x) = u for each u in (0, 1] by Newton's method.
-
-    With s = log(x/xm), g(s) = log1p(s) - alpha s - log u is decreasing
-    and concave, and g(s0) >= 0 at s0 = (log1p(-log u / alpha) - log u) / alpha,
-    so after the first step the iterates fall to the root monotonically.
-    They stop once the error a step leaves, step^2 |g''| / (2 |g'|), is
-    below 2^-56 for every u: four steps at alpha = 1.5, ten at 1.0001.
-    s then carries about one ulp of rounding of alpha s, 1e-13 in
-    survival(x) at u ~ 1e-300.  A last step with alpha s formed exactly
-    (Dekker's two-product), applied as the factor (1 + delta) on e^s,
-    brings survival(x)/u to 1 within about 6e-14, and x(1) = xm exactly.
-    """
-    a = model.alpha
-    log_u = np.log(u)
-    s = (np.log1p(log_u / -a) - log_u) / a
-    for _ in range(_NEWTON_MAX_STEPS):
-        t = 1.0 + s
-        slope = a - 1.0 / t  # -g'(s) > 0
-        step = (np.log1p(s) - a * s - log_u) / slope
-        s += step
-        if np.max(step * step / (slope * t * t)) <= _NEWTON_TOL:
-            break
-    c = _DEKKER_SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _DEKKER_SPLIT * s
-    s_hi = c - (c - s)
-    s_lo = s - s_hi
-    hi = a * s
-    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo  # a s = hi + lo
-    delta = (((-log_u - hi) - lo) + np.log1p(s)) / (a - 1.0 / (1.0 + s))
-    with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
-        return model.xm * np.exp(s) * (1.0 + delta)
 
 
 def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
@@ -390,51 +356,71 @@ def _finite(model: WeightModel, quantity: str, closed_form) -> float:
 
 
 def truncated_second_moment(model: WeightModel, x: float) -> float:
-    """E[W^2; W <= x] in closed form; only the power-law models have it."""
+    """E[W^2; W <= x] = xm^2 sum_k w_k alpha^k int_0^c s^(k-1) e^((2-alpha) s) ds / (k-1)!
+    over the log-weight mixture {k: w_k}, c = log(x/xm); only the power-law models have it."""
     if not (x > 0):
         raise ParameterError(f"truncation point must be positive, got {x}")
-    moment = f"E[W^2; W <= {x}]"
-    if isinstance(model, ParetoWeights):
-        a, xm = model.alpha, model.xm
-        if x <= xm:
-            return 0.0
-        if a == 2.0:
-            return _finite(model, moment, lambda: 2.0 * xm * xm * math.log(x / xm))
-        return _finite(model, moment,
-                       lambda: a * xm**a * (x ** (2.0 - a) - xm ** (2.0 - a)) / (2.0 - a))
-    if isinstance(model, ParetoLogWeights):
-        a, xm = model.alpha, model.xm
-        if x <= xm:
-            return 0.0
-        r = x / xm
-        if a == 2.0:
-            ia = math.log(r)
-            ib = 0.5 * math.log(r) ** 2
-        else:
-            ia = (r ** (2.0 - a) - 1.0) / (2.0 - a)
-            ib = (r ** (2.0 - a) * ((2.0 - a) * math.log(r) - 1.0) + 1.0) / (2.0 - a) ** 2
-        return _finite(model, moment, lambda: xm * xm * ((a - 1.0) * ia + a * ib))
-    raise UnsupportedModelError(f"no closed-form truncated moments for {model!r}")
+    mixture = _log_gamma_mixture(model)
+    a, xm = model.alpha, model.xm
+    if x <= xm:
+        return 0.0
+    c = _log_ratio(x, xm)
+    return _finite(model, f"E[W^2; W <= {x}]", lambda: xm * (xm * sum(
+        w * a**k * _exp_gamma_below(k, 2.0 - a, c) for k, w in mixture.items())))
 
 
 def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
-    """E[W; W >= x] in closed form; only the power-law models have it."""
+    """E[W; W >= x] = xm sum_k w_k (alpha/(alpha-1))^k Q(k, (alpha-1) c) over the log-weight
+    mixture, c = log(max(x, xm)/xm), Q as in _gamma_upper; infinite for Pareto alpha <= 1."""
     if not (x > 0):
         raise ParameterError(f"truncation point must be positive, got {x}")
-    moment = f"E[W; W >= {x}]"
+    mixture = _log_gamma_mixture(model)
+    a, xm = model.alpha, model.xm
+    if a <= 1:
+        return math.inf
+    c = _log_ratio(max(x, xm), xm)
+    return _finite(model, f"E[W; W >= {x}]", lambda: xm * sum(
+        w * (a / (a - 1.0)) ** k * _gamma_upper(k, (a - 1.0) * c) for k, w in mixture.items()))
+
+
+def _log_gamma_mixture(model: WeightModel, factors: int = 1) -> dict[int, float]:
+    """{k: weight}: log(W_1 ... W_f / xm^f) of f = ``factors`` i.i.d. weights is that
+    mixture of Gamma(k, alpha) laws (shape k, rate alpha).
+
+    At s = log(w/xm), Pareto's survival e^(-alpha s) is that of Exp(alpha), and ParetoLog's
+    e^(-alpha s) (1 + s) = p e^(-alpha s) + q e^(-alpha s) (1 + alpha s), p = (alpha-1)/alpha
+    and q = 1/alpha, that of p Exp(alpha) + q Gamma(2, alpha).
+    """
     if isinstance(model, ParetoWeights):
-        a, xm = model.alpha, model.xm
-        if a <= 1:
-            return math.inf
-        return _finite(model, moment, lambda: a * xm**a / (a - 1.0) * max(x, xm) ** (1.0 - a))
-    if isinstance(model, ParetoLogWeights):
-        a, xm = model.alpha, model.xm
-        r = max(x, xm) / xm
-        lr = math.log(r)
-        head = r ** (1.0 - a) * (1.0 + lr)
-        tail = r ** (1.0 - a) / (a - 1.0) + r ** (1.0 - a) * ((a - 1.0) * lr + 1.0) / (a - 1.0) ** 2
-        return _finite(model, moment, lambda: xm * (head + tail))
-    raise UnsupportedModelError(f"no closed-form truncated moments for {model!r}")
+        return {factors: 1.0}
+    if not isinstance(model, ParetoLogWeights):
+        raise UnsupportedModelError(f"no closed-form truncated moments for {model!r}")
+    p, q = (model.alpha - 1.0) / model.alpha, 1.0 / model.alpha
+    return {1: p, 2: q} if factors == 1 else {2: p * p, 3: 2.0 * p * q, 4: q * q}
+
+
+def _log_ratio(x: float, xm: float) -> float:
+    """log(x/xm) for x >= xm, also where x/xm overflows."""
+    r = x / xm
+    return math.log(r) if r < math.inf else math.log(x) - math.log(xm)
+
+
+def _exp_gamma_below(k: int, b: float, c: float) -> float:
+    """int_0^c t^(k-1) e^(b t) dt / (k-1)! for c >= 0, any sign of b."""
+    x = b * c
+    if abs(x) < 2.0:  # the closed form cancels near x = 0; this series has no cancellation there
+        term, total = 1.0, 0.0
+        for i in range(40):
+            total += term / (k + i)
+            term *= x / (i + 1)
+        return c**k / math.factorial(k - 1) * total
+    poly = sum((-x) ** j / math.factorial(j) for j in range(k))
+    return (-1) ** (k - 1) * (math.exp(x) * poly - 1.0) / b**k
+
+
+def _gamma_upper(k: int, y: float) -> float:
+    """Q(k, y) = e^(-y) sum_{j<k} y^j / j!, the Gamma(k, 1) survival at y."""
+    return math.exp(-y) * sum(y**j / math.factorial(j) for j in range(k))
 
 
 def tail_params(model: WeightModel) -> TailParams | None:
@@ -473,8 +459,8 @@ def lemma1_ratio_check(model: WeightModel, x_grid) -> list[LemmaRatios]:
         asym2 = tp.c * tp.alpha / (2.0 - tp.alpha) * x ** (2.0 - tp.alpha) * h
         karamata = tp.c * tp.alpha / (tp.alpha - 1.0) * x ** (1.0 - tp.alpha) * h
         alt = tp.c * (2.0 - tp.alpha) / (tp.alpha - 1.0) * x ** (1.0 - tp.alpha) * h
-        if asym2 == 0.0 or karamata == 0.0 or alt == 0.0:
-            raise ParameterError(f"an asymptote underflows to 0 at x={x}")
+        if not all(0.0 < abs(v) < math.inf for v in (asym2, karamata, alt)):
+            raise ParameterError(f"an asymptote underflows to 0 or overflows at x={x}")
         out.append(LemmaRatios(x, exact2, exact_tail, exact2 / asym2, exact_tail / karamata,
                                exact_tail / alt))
     return out

@@ -1,6 +1,7 @@
 """Weight models: sampling, moments, truncated moments, norming."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,13 +31,12 @@ from grg import (
     truncated_first_moment_tail,
     truncated_second_moment,
 )
-from grg.weights import _pareto_log_inverse_survival
+from grg.weights import _gamma_upper, _log_gamma_mixture
 
-# (alpha, xm) pairs of the ParetoLog inverse-survival tests, from alpha just
-# above 1, where x(u) is badly conditioned near u = 1, to alpha = 100.
+# (alpha, xm) pairs of the ParetoLog draw tests, from alpha just above 1,
+# where the Gamma(2, alpha) component has weight almost 1, to alpha = 100.
 PARETOLOG_GRID = [(alpha, xm) for alpha in (1.0001, 1.001, 1.01, 1.1, 1.5, 1.95, 2.0, 10.0, 100.0)
                   for xm in (0.5, 1.0, 2.0, 3.0)]
-U_NEAR_ONE = 1.0 - np.geomspace(1e-16, 1e-2, 200)
 
 ALL_MODELS = [ConstantWeights(2.0), ExponentialWeights(1.0), LogNormalWeights(0.0, 1.5),
               GammaWeights(0.5, 2.0), ParetoWeights(1.5, 1.0), ParetoLogWeights(1.5, 1.0)]
@@ -57,20 +57,6 @@ def pdf(model):
     if isinstance(model, LogNormalWeights):
         return stats.lognorm(model.sigma, scale=math.exp(model.mu)).pdf
     return stats.gamma(model.shape, scale=model.scale).pdf
-
-
-def _lambertw_inverse_survival(model, u):
-    """The closed form that the Newton inverse replaced: x = xm exp(-W_{-1}(z) / alpha - 1).
-
-    With t = 1 + log(x/xm), survival(x) = u reads (-alpha t) e^(-alpha t)
-    = z = -alpha u e^(-alpha), and -alpha t < -1 is the lower branch.
-    """
-    from scipy.special import lambertw
-
-    a = model.alpha
-    with np.errstate(all="ignore"):  # at alpha = 100, z is subnormal or 0 below u = 6e-267
-        w = lambertw(-a * math.exp(-a) * u, k=-1).real
-        return model.xm * np.exp(-w / a - 1.0)
 
 
 class TestSampling:
@@ -264,8 +250,9 @@ class TestTruncatedMoments:
         assert all(a >= b for a, b in zip(tail, tail[1:]))
 
     def test_boundary_exponent_closed_forms(self):
-        """alpha = 2 hits the logarithmic branches of both power-law models."""
-        for model in (ParetoWeights(2.0, 1.5), ParetoLogWeights(2.0, 1.5)):
+        """At and near alpha = 2 the series of the mixture sum serves both power-law models."""
+        for model in (cls(alpha, 1.5) for alpha in (2.0, 1.999, 1.9999999)
+                      for cls in (ParetoWeights, ParetoLogWeights)):
             f = pdf(model)
             for x in (3.0, 50.0):
                 quad = integrate.quad(lambda w: w * w * f(w), 1.5, x, epsabs=1e-12)[0]
@@ -306,55 +293,44 @@ class TestParetoLog:
             ParetoLogWeights(0.9, 2.0)
 
     def test_sampling_matches_survival(self):
-        """KS of 2e4 draws against the analytic CDF accepts at 0.01."""
+        """KS of 2e4 draws against the analytic CDF accepts at 0.01, from alpha near 1 to 10."""
         from grg import ks_one_sample
 
-        model = ParetoLogWeights(1.5, 2.0)
-        wv = sample_weights(model, 20_000, seed=61)
-        res = ks_one_sample(wv.values, lambda x: 1.0 - model.survival(x))
-        assert res.p_value > 0.01, res
+        for model, seed in ((ParetoLogWeights(1.5, 2.0), 61), (ParetoLogWeights(1.0001, 1.5), 7101),
+                            (ParetoLogWeights(2.0, 1.5), 7102), (ParetoLogWeights(10.0, 1.5), 7103)):
+            wv = sample_weights(model, 20_000, seed=seed)
+            res = ks_one_sample(wv.values, lambda x: 1.0 - model.survival(x))
+            assert res.p_value > 0.01, (model, res)
 
-    def test_inverse_survival_round_trip(self):
-        """survival(x(u)) = u to 1e-13 relative, from u = 1 (x = xm) down to u = 1e-300."""
-        u = np.concatenate([[1.0, 1e-300], np.geomspace(1e-300, 1.0, 601), U_NEAR_ONE,
-                            1.0 - np.random.default_rng(4).random(1000)])
+    def test_draws_are_finite_and_at_least_xm(self):
         for alpha, xm in PARETOLOG_GRID:
-            model = ParetoLogWeights(alpha, xm)
-            x = _pareto_log_inverse_survival(model, u)
-            assert x[0] == pytest.approx(xm, rel=1e-15)
-            np.testing.assert_allclose(model.survival(x), u, rtol=1e-13, atol=0,
-                                       err_msg=f"alpha={alpha}, xm={xm}")
+            values = sample_weights(ParetoLogWeights(alpha, xm), 10_000, seed=7104).values
+            assert np.all(values >= xm) and np.all(np.isfinite(values)), (alpha, xm)
 
-    def test_inverse_survival_against_lambertw(self):
-        """The Newton inverse matches the Lambert W closed form to 3e-13 relative.
+    def test_overflowing_draw_is_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                sample_weights(ParetoLogWeights(1.5, 1e300), 1000, seed=3)
 
-        The closed form's argument carries about two roundings, which
-        W_{-1} magnifies by 1/|1 + W| = t/(alpha t - 1) in x, t = 1 + log(x/xm):
-        1e4 near u = 1 at alpha = 1.0001, at most 2 from alpha = 1.5 on.
-        That is added to the bound.  The oracle itself fails where it
-        leaves the support (near u = 1 at alpha = 1.0001 lambertw returns
-        W = -1, x = 0.9999 xm) or where its argument is subnormal (at
-        alpha = 100, u < 6e-267), so those points are skipped.
+    def test_log_mixture_survival(self):
+        """p e^(-alpha c) + q e^(-alpha c) (1 + alpha c) is survival(xm e^c) to 1e-15.
+
+        The reference carries its own rounding, alpha (1 + c) ulps from the
+        power and the log of w / xm (1.4e-14 at alpha = 10, c = 18), which is
+        added to the bound; c stops where the survival leaves the normal range.
         """
-        u = np.concatenate([np.geomspace(1e-300, 1.0, 601), U_NEAR_ONE])
+        grid = np.concatenate([[0.0], np.geomspace(1e-8, 50.0, 200)])
         for alpha, xm in PARETOLOG_GRID:
             model = ParetoLogWeights(alpha, xm)
-            x = _pareto_log_inverse_survival(model, u)
-            ref = _lambertw_inverse_survival(model, u)
-            z = alpha * math.exp(-alpha) * u
-            kept = (ref >= xm) & (z >= np.finfo(float).tiny)
-            assert kept.mean() > 0.9, (alpha, xm)
-            t = 1.0 + np.log(x[kept] / xm)
-            bound = 3e-13 + 4.0 * np.finfo(float).eps * t / (alpha * t - 1.0)
-            err = np.abs(x[kept] / ref[kept] - 1.0)
-            assert np.all(err <= bound), (alpha, xm, err.max())
-
-    def test_draws_stay_on_the_support(self):
-        """x(1) = xm exactly and x >= xm as u -> 1, where lambertw gave 0.4999999999999995 for xm = 0.5."""
-        for alpha, xm in PARETOLOG_GRID:
-            model = ParetoLogWeights(alpha, xm)
-            assert _pareto_log_inverse_survival(model, np.array([1.0]))[0] == xm
-            assert np.all(_pareto_log_inverse_survival(model, U_NEAR_ONE) >= xm), (alpha, xm)
+            mixture = _log_gamma_mixture(model)
+            assert mixture.keys() == {1, 2}
+            c = grid[alpha * grid <= 700.0]
+            got = np.array([sum(w * _gamma_upper(k, alpha * ci) for k, w in mixture.items())
+                            for ci in c])
+            ref = model.survival(xm * np.exp(c))
+            bound = (1e-15 + alpha * (1.0 + c) * np.finfo(float).eps) * ref
+            assert np.all(np.abs(got - ref) <= bound), (alpha, xm)
 
     def test_tail_params_logarithmic(self):
         tp = tail_params(ParetoLogWeights(1.5, 2.0))
@@ -393,6 +369,12 @@ class TestLemmaRatios:
         with pytest.raises(ParameterError):
             lemma1_ratio_check(ParetoWeights(1.5, 1e-250), [10.0])
 
+    def test_refuses_overflowing_asymptote(self):
+        """x / xm overflows in h(x) = 1 + log(x/xm), while E[W^2; W <= x] is finite."""
+        assert math.isfinite(truncated_second_moment(ParetoLogWeights(1.5, 1e-10), 1e308))
+        with pytest.raises(ParameterError):
+            lemma1_ratio_check(ParetoLogWeights(1.5, 1e-10), [1e308])
+
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_needs_alpha_in_open_interval(self, alpha):
         with pytest.raises(UnsupportedModelError):
@@ -426,6 +408,11 @@ class TestNorming:
         a = compute_norming(model, n)
         resid = abs(a * a - n * truncated_second_moment(model, a)) / (a * a)
         assert resid <= 1e-8
+
+    def test_near_boundary_norming(self):
+        """The root at alpha = 1.999, against a 50-digit mpmath root of the same equation."""
+        a = compute_norming(ParetoLogWeights(1.999, 1.0), 5)
+        assert abs(a / 4.1559178645989708 - 1.0) <= 1e-13, a
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
