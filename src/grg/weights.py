@@ -283,15 +283,18 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
     elif isinstance(model, ParetoLogWeights):
         # log(W/xm) = (E1 + B E2)/alpha, B ~ Bernoulli(1/alpha) (see _log_gamma_mixture), and
         # one uniform V on (0, 1] gives B E2 = max(0, -log(alpha V)): V <= 1/alpha has
-        # probability 1/alpha, and given that, alpha V is uniform.  So the draw holds two arrays.
-        v = rng.random(n)
-        values = rng.standard_exponential(n)
-        np.subtract(1.0, v, out=v)
-        np.log(v, out=v)
-        v += math.log(model.alpha)
-        np.minimum(v, 0.0, out=v)
-        values -= v
-        del v
+        # probability 1/alpha, and given that, alpha V is uniform.  The n uniforms come
+        # first, then the n exponentials, one block at a time, so the draw holds one array.
+        values = rng.random(n)
+        np.subtract(1.0, values, out=values)
+        np.log(values, out=values)
+        values += math.log(model.alpha)
+        np.minimum(values, 0.0, out=values)
+        e1 = np.empty(min(n, _SUM_BLOCK))
+        for k in range(0, n, _SUM_BLOCK):
+            block = values[k : k + _SUM_BLOCK]
+            np.subtract(rng.standard_exponential(out=e1[: len(block)]), block, out=block)
+        del e1
         values /= model.alpha
         np.exp(values, out=values)
         with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
@@ -365,8 +368,13 @@ def truncated_second_moment(model: WeightModel, x: float) -> float:
     if x <= xm:
         return 0.0
     c = _log_ratio(x, xm)
-    return _finite(model, f"E[W^2; W <= {x}]", lambda: xm * (xm * sum(
-        w * a**k * _exp_gamma_below(k, 2.0 - a, c) for k, w in mixture.items())))
+    try:
+        return _finite(model, f"E[W^2; W <= {x}]", lambda: xm * (xm * sum(
+            w * a**k * _exp_gamma_below(k, 2.0 - a, c) for k, w in mixture.items())))
+    except OverflowError:  # e^((2-alpha)c) overflows; xm^2 e^((2-alpha)c) may not
+        log_xm2 = 2.0 * math.log(xm)
+        return _finite(model, f"E[W^2; W <= {x}]", lambda: sum(
+            w * a**k * _exp_gamma_below(k, 2.0 - a, c, log_xm2) for k, w in mixture.items()))
 
 
 def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
@@ -405,17 +413,21 @@ def _log_ratio(x: float, xm: float) -> float:
     return math.log(r) if r < math.inf else math.log(x) - math.log(xm)
 
 
-def _exp_gamma_below(k: int, b: float, c: float) -> float:
-    """int_0^c t^(k-1) e^(b t) dt / (k-1)! for c >= 0, any sign of b."""
+def _exp_gamma_below(k: int, b: float, c: float, log_scale: float = 0.0) -> float:
+    """e^s int_0^c t^(k-1) e^(b t) dt / (k-1)! for c >= 0, any sign of b, s = ``log_scale``.
+
+    The scale enters the closed form's exponent, so e^(bc) may overflow where e^(s + bc)
+    does not; at s = 0 nothing is rounded differently.
+    """
     x = b * c
     if abs(x) < 2.0:  # the closed form cancels near x = 0; this series has no cancellation there
         term, total = 1.0, 0.0
         for i in range(40):
             total += term / (k + i)
             term *= x / (i + 1)
-        return c**k / math.factorial(k - 1) * total
+        return math.exp(log_scale) * c**k / math.factorial(k - 1) * total
     poly = sum((-x) ** j / math.factorial(j) for j in range(k))
-    return (-1) ** (k - 1) * (math.exp(x) * poly - 1.0) / b**k
+    return (-1) ** (k - 1) * (math.exp(x + log_scale) * poly - math.exp(log_scale)) / b**k
 
 
 def _gamma_upper(k: int, y: float) -> float:

@@ -310,6 +310,22 @@ class TestLemma1Command:
         assert err.startswith("numerical failure:") and "Traceback" not in err
         assert "E[W^2; W <= " in err
 
+    def test_moment_past_an_overflowing_exponential(self, capsys):
+        """E[W^2; W <= x] = xm^2 e^((2-alpha)c) (...) is finite although e^((2-alpha)c) is not.
+
+        Here (2 - alpha) c = 725 with c = log(x/xm); the moment is checked against the
+        Pareto closed form alpha xm^alpha (x^(2-alpha) - xm^(2-alpha)) / (2 - alpha) to
+        50 digits, and against 6.740407903915835e+294, printed before the mixture sum.
+        """
+        mp = pytest.importorskip("mpmath")
+        assert main(["lemma1", "--model", "pareto:alpha=1.01,xm=1e-10", "--x", "1e308"]) == 0
+        got = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        with mp.workdps(50):
+            a, xm, x = mp.mpf("1.01"), mp.mpf("1e-10"), mp.mpf("1e308")
+            exact = float(a * xm**a * (x ** (2 - a) - xm ** (2 - a)) / (2 - a))
+        assert got == pytest.approx(exact, rel=1e-12)
+        assert got == pytest.approx(6.740407903915835e294, rel=1e-12)
+
 
 @pytest.fixture(scope="module")
 def finished_runs(tmp_path_factory):
