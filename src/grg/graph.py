@@ -58,13 +58,8 @@ _PAIR_BLOCK = 1 << 22
 
 # The fast sampler draws and thins about this many candidate pairs per numpy
 # pass, whole segments of at most _CHUNK/2 expected draws each, so a pass can
-# hold up to about 1.5 times as many; a pass needs about 3.5 MB at 2^16.
+# hold up to about 1.5 times as many; a pass needs about 3.7 MB at 2^16.
 _CHUNK = 1 << 16
-
-# A chunk whose segments average this many draws or more draws them one
-# segment per call: a call costs about 5 us, and a draw then 5 ns, against
-# 10-18 ns with a bound per draw.
-_SEGMENT_DRAWS = 1024
 
 # write_edge_list formats this many lines per write.
 _WRITE_BLOCK = 1 << 16
@@ -86,6 +81,8 @@ class GraphSample:
     """One realized graph, reduced to the statistics the experiments use.
 
     ``degrees`` is the sampler's degree tally: int32 below 2^31 vertices, int64 from there.
+    A hub's square passes 2^31 from degree 46,341, so cast with ``astype(np.int64)``
+    before products or powers such as ``degrees @ degrees``.
     """
 
     n: int
@@ -108,7 +105,7 @@ def sample_graph_fast(
     per vertex of the weights, it holds that tally, a candidate pass and, for weights
     not in descending order, their sorted copy and int32 vertex order: with the
     weights, a tracemalloc peak of 15.2 bytes per vertex on descending ParetoLog(1.5)
-    weights at n = 1e6 and 13.0 at 4e6, 27.9 and 25.0 unsorted.
+    weights at n = 1e6 and 13.0 at 4e6, 27.2 and 25.0 unsorted.
     """
     n = weights.n
     if n < 2:
@@ -176,9 +173,7 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
     segments of about ``_CHUNK/2`` expected draws, and whole segments
     go to one chunk, so no position is drawn in two chunks.  The numpy
     calls per graph grow with the number of chunks, never with the
-    number of buckets, except in a chunk whose segments average
-    ``_SEGMENT_DRAWS`` draws or more: it draws one segment per call,
-    the same numbers as one call with a bound per draw.
+    number of buckets.
     """
     n = len(v)
     # bucket k starts after the weights above v[0] * 2^(-k/4)
@@ -205,77 +200,42 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
     start += base[block]
     seg_dense = dense[block]
     count = np.where(seg_dense, length, rng.poisson(length * mu[block]))
-    slot = np.concatenate(([0], np.cumsum(count)))  # segment s draws slots slot[s]..slot[s+1]-1
+    slot = np.cumsum(count) - count
 
     # whole segments per chunk, so no position is drawn in two chunks
-    cuts = np.searchsorted(slot[:-1], np.arange(0, int(slot[-1]), _CHUNK)).tolist()
+    cuts = np.searchsorted(slot, np.arange(0, int(count.sum()), _CHUNK)).tolist()
     for s0, s1 in zip(cuts, cuts[1:] + [len(count)]):
-        cnt, off = count[s0:s1], slot[s0 : s1 + 1] - slot[s0]  # draws of each segment, and where
-        if off[-1] == 0:
+        seg = np.repeat(np.arange(s0, s1), count[s0:s1])
+        if len(seg) == 0:
             continue
-        if off[-1] >= _SEGMENT_DRAWS * (s1 - s0):
-            key = _segment_keys(rng, start[s0:s1], length[s0:s1], cnt, seg_dense[s0:s1])
-        else:
-            key = rng.integers(length[s0:s1].repeat(cnt))  # drawn for enumerated segments too
-            if seg_dense[s0:s1].any():  # an enumerated segment's keys are its slots
-                d = np.flatnonzero(seg_dense[s0:s1].repeat(cnt))
-                key[d] = d - off[:-1].repeat(cnt)[d]
-                del d
-            key += start[s0:s1].repeat(cnt)
+        key = rng.integers(length[seg])  # drawn for enumerated segments too
+        d = np.flatnonzero(seg_dense[seg])  # an enumerated segment's keys are its slots
+        key[d] = d + slot[s0] - slot[seg[d]]
+        key += start[seg]
         # segments hold disjoint increasing key ranges, so the sort keeps
-        # every key in its segment's run
+        # every key beside its segment
         key.sort()
-        dup = np.flatnonzero(key[1:] == key[:-1]) + 1
-        if len(dup):
-            new = np.ones(len(key), dtype=bool)
-            new[dup] = False
-            key = key[new]
-            lost = dup.searchsorted(off)  # duplicates before each segment's first slot
-            cnt = cnt - (lost[1:] - lost[:-1])
-            del new
-        del dup
-        blk = block[s0:s1]
-
-        def per_key(a):
-            return a[blk].repeat(cnt)
-
-        key -= per_key(base)
+        new = np.concatenate(([True], key[1:] != key[:-1]))
+        k = block[seg[new]]
+        del seg, d
+        key = key[new]
+        del new
+        key -= base[k]
+        w = width[k]
         # rectangle: row r, column c; triangle: the pair (c + r + 1 mod w, c),
         # where c + r + 1 < 2w, as its rows and columns start together
-        w = per_key(width)
         r, c = np.divmod(key, w, out=(None, key))
-        if diag[blk].any():
-            tri = per_key(diag)
-            shift = c + 1
-            shift *= tri
-            r += shift
-            tri &= r >= w
-            r -= w * tri
-            del tri, shift
-        del w  # not held while the caller thins the chunk
-        r += per_key(row0)
-        c += per_key(col0)
-        yield r, c, per_key(q)
-        del r, c, key  # nor while the next chunk is drawn
-
-
-def _segment_keys(rng, start, length, count, dense) -> np.ndarray:
-    """The flat keys of one chunk's segments, unsorted, drawn with one ``rng.integers`` call each.
-
-    numpy draws a bounded integer one element at a time, by Lemire's method,
-    also for a scalar bound, so these are the draws of ``rng.integers(bounds)``
-    over the segments' lengths repeated by their counts, offset by their starts.
-    """
-    key = np.empty(int(count.sum()), dtype=np.int64)
-    o = 0
-    for lo, size, c, enumerated in zip(start.tolist(), length.tolist(), count.tolist(),
-                                       dense.tolist()):
-        if c:
-            key[o : o + c] = rng.integers(lo, lo + size, size=c)
-            if enumerated:  # drawn all the same; its keys are its slots
-                key[o : o + c] = np.arange(lo, lo + size)
-            o += c
-    return key
+        t = np.flatnonzero(diag[k])
+        rt, wt = r[t] + c[t] + 1, w[t]
+        rt -= wt * (rt >= wt)
+        r[t] = rt
+        del w, t, rt, wt
+        r += row0[k]
+        c += col0[k]
+        envelope = q[k]
+        del k  # not held while the caller thins the chunk
+        yield r, c, envelope
+        del r, c, key, envelope  # nor while the next chunk is drawn
 
 
 def pair_sums(weights: WeightVector) -> tuple[float, float, float]:

@@ -465,13 +465,15 @@ def traced_peaks(n):
 
 class TestMemoryAndStreams:
     def test_peak_memory_per_vertex(self):
-        """One large graph holds at most 25 bytes per vertex, plus one candidate pass.
+        """One large graph holds at most 26.5 bytes per vertex, plus one candidate pass.
 
         Per vertex, the argsort of the weights holds them, their negation and
         the int64 order (24 bytes); thinning holds the weights, their sorted copy
         and the int32 order and tally (24 bytes).  Measured: slopes of 23.3 (in a
         fresh process) and 24.3 (after other tests), and intercepts of 57 and
-        44 * _CHUNK bytes, bounded here by 64 * _CHUNK.  The
+        43 * _CHUNK bytes.  The bounds are the worst of these plus a margin:
+        9% on the slope, and about a quarter, 72 * _CHUNK, on the intercept,
+        which moves by 3 * _CHUNK for each 1 byte per vertex of slope.  The
         weights themselves peak at 10 bytes per vertex (the values and a
         positivity mask) plus the temporaries of one block of exact sums.
         The degrees are the tally, in the sampler's index type.
@@ -480,19 +482,20 @@ class TestMemoryAndStreams:
         (w0, s0, g0), (w1, s1, g1) = map(traced_peaks, sizes)
         slope = (s1 - s0) / (sizes[1] - sizes[0])
         intercept = s0 - slope * sizes[0]
-        assert slope <= 25.0, (slope, intercept)
-        assert intercept <= 64 * grg.graph._CHUNK, (slope, intercept)
+        assert slope <= 26.5, (slope, intercept)
+        assert intercept <= 72 * grg.graph._CHUNK, (slope, intercept)
         for n, w, g in zip(sizes, (w0, w1), (g0, g1)):
             assert w <= 10 * n + 64 * grg.weights._SUM_BLOCK, (n, w / n)
             assert g.degrees.dtype == np.int32
             assert int(g.degrees.sum()) == 2 * g.edge_count > n
 
     def test_descending_weights_peak(self):
-        """On descending weights the sampler holds at most 16.5 bytes per vertex, weights included.
+        """On descending weights the sampler holds at most 17.5 bytes per vertex, weights included.
 
         The weights (8), the int32 tally, which is the degrees (4), and one
         candidate pass; a sorted copy and an int32 vertex order would add 12.
-        Measured at n = 10^6: 15.2 bytes per vertex (15.9 in a fresh process).
+        Measured at n = 10^6: 15.2 bytes per vertex (15.9 in a fresh process);
+        the bound leaves a margin of 10% over the worst.
         """
         n = 10**6
         tracemalloc.start()
@@ -503,13 +506,14 @@ class TestMemoryAndStreams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16.5 * n, peak / n
+        assert peak <= 17.5 * n, peak / n
         assert int(g.degrees.sum()) == 2 * g.edge_count > n
 
     def test_paretolog_draw_peak(self):
-        """ParetoLog weights peak at 11.5 bytes per vertex: one array, drawn and transformed in place.
+        """ParetoLog weights peak at 11.8 bytes per vertex: one array, drawn and transformed in place.
 
-        Measured at n = 10^6: 10.1 bytes per vertex (10.9 in a fresh process).
+        Measured at n = 10^6: 10.1 bytes per vertex (10.8 in a fresh process);
+        the bound leaves a margin of 9% over the worst.
         """
         n = 10**6
         tracemalloc.start()
@@ -518,7 +522,7 @@ class TestMemoryAndStreams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11.5 * n, peak / n
+        assert peak <= 11.8 * n, peak / n
 
     @pytest.mark.parametrize(
         "model, n, master_seed, expected",
@@ -554,69 +558,15 @@ class TestMemoryAndStreams:
         ("pareto:alpha=1.5,xm=1", 200_000,
          "ceb39484c3ed39effe62995c59df2447377f568363d4f752a1a0a57e9b232ecf"),
     ], ids=["paretolog", "pareto"])
-    def test_sample_summary_is_pinned(self, model, n, digest, tmp_path, monkeypatch):
-        """The sha256 of `grg sample` JSON at seed 7, some of its chunks drawn one segment per call.
+    def test_sample_summary_is_pinned(self, model, n, digest, tmp_path):
+        """The sha256 of `grg sample` JSON at seed 7.
 
         ParetoLog's n leaves a last block of 5 exponential draws in its weights.
         """
-        per_segment = []
-        segment_keys = grg.graph._segment_keys
-
-        def recorded(rng, start, *rest):
-            per_segment.append(len(start))
-            return segment_keys(rng, start, *rest)
-
-        monkeypatch.setattr(grg.graph, "_segment_keys", recorded)
         out = tmp_path / "summary.json"
         assert cli_main(["sample", "--model", model, "--n", str(n), "--seed", "7",
                          "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        assert per_segment
-
-    def test_bounded_draws_one_bound_at_a_time(self):
-        """``rng.integers`` with a bound per draw draws what one call per bound draws.
-
-        ``_segment_keys`` rests on it: with the bounds repeated by the counts, both
-        give the same numbers, also offset by a low end, and leave the same state.
-        Bounds 1 and 2, below 2^32 and from 2^32 on, each with an odd count.
-        """
-        bounds = [1, 2, 3, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 7, 2**62]
-        counts = [3, 1, 5, 7, 9, 3, 11, 5, 13, 1]
-        for seed in range(4):
-            shuffle = np.random.default_rng(seed).permutation(len(bounds))
-            b, c = np.array(bounds)[shuffle], np.array(counts)[shuffle]
-            whole, parts, offset = (np.random.default_rng(100 + seed) for _ in range(3))
-            expected = whole.integers(np.repeat(b, c))
-            assert np.array_equal(
-                np.concatenate([parts.integers(x, size=k) for x, k in zip(b.tolist(), c.tolist())]),
-                expected)
-            low = 10**12 * np.arange(1, len(b) + 1)
-            assert np.array_equal(np.concatenate(
-                [offset.integers(lo, lo + x, size=k) - lo
-                 for lo, x, k in zip(low.tolist(), b.tolist(), c.tolist())]), expected)
-            assert whole.bit_generator.state == parts.bit_generator.state
-            assert whole.bit_generator.state == offset.bit_generator.state
-
-    @pytest.mark.parametrize("chunk", [64, 1 << 16])
-    def test_per_segment_draws_give_the_same_graph(self, chunk, monkeypatch):
-        """Every chunk drawn one segment per call, or none: the same edges, in the same order.
-
-        The dominant weights put some blocks at envelope 1, and a mixture with
-        Pareto(1.2) weights makes triangles, rectangles and duplicate draws.
-        """
-        monkeypatch.setattr(grg.graph, "_CHUNK", chunk)
-        rng = np.random.default_rng(8)
-        for wv in (sample_weights(ParetoLogWeights(1.5, 1.0), 20_000, seed=9),
-                   WeightVector.from_values(np.concatenate([[3e4, 2e4, 9e3],
-                                                            rng.pareto(1.2, 5000) + 0.05]))):
-            graphs = []
-            for per_segment in (0, math.inf):
-                monkeypatch.setattr(grg.graph, "_SEGMENT_DRAWS", per_segment)
-                graphs.append(sample_graph_fast(wv, 10, store_edges=True))
-            g, h = graphs
-            assert (g.edge_count, g.candidates_examined) == (h.edge_count, h.candidates_examined)
-            assert np.array_equal(g.edges, h.edges) and np.array_equal(g.degrees, h.degrees)
-            assert g.edge_count > 0
 
     def test_edge_dump_is_pinned(self, tmp_path):
         """The sha256 of a `grg sample --edges` dump of 4,091 lines: the sampler and the writer."""
