@@ -58,7 +58,7 @@ _PAIR_BLOCK = 1 << 22
 
 # The fast sampler draws and thins about this many candidate pairs per numpy
 # pass, whole segments of at most _CHUNK/2 expected draws each, so a pass can
-# hold up to about 1.5 times as many; a pass needs about 3.7 MB at 2^16.
+# hold up to about 1.5 times as many; a pass needs about 5 MB at 2^16.
 _CHUNK = 1 << 16
 
 # write_edge_list formats this many lines per write.
@@ -104,8 +104,8 @@ def sample_graph_fast(
     The degrees are the tally, int32 (int64 from 2^31 vertices).  Besides the 8 bytes
     per vertex of the weights, it holds that tally, a candidate pass and, for weights
     not in descending order, their sorted copy and int32 vertex order: with the
-    weights, a tracemalloc peak of 15.2 bytes per vertex on descending ParetoLog(1.5)
-    weights at n = 1e6 and 13.0 at 4e6, 27.2 and 25.0 unsorted.
+    weights, a tracemalloc peak of 16.2 bytes per vertex on descending ParetoLog(1.5)
+    weights at n = 1e6 and 13.4 at 4e6, 28.2 and 25.4 unsorted.
     """
     n = weights.n
     if n < 2:
@@ -125,10 +125,7 @@ def sample_graph_fast(
         p = v[i]
         p *= v[j]
         p /= p + l_n
-        u = rng.random(len(i))
-        u *= q
-        hit = u < p
-        del p, q, u
+        hit = rng.random(len(i)) * q < p
         i, j = i[hit], j[hit]
         candidates += len(hit)
         edge_count += len(i)
@@ -138,16 +135,16 @@ def sample_graph_fast(
         if pieces is not None:
             i, j = (i, j) if order is None else (order[i], order[j])
             pieces.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
-        del i, j, hit  # not held while the next chunk is drawn
+        del p, q, i, j, hit  # not held while the next chunk is drawn
     del v
+    degrees = tally
     if order is not None:  # back to the caller's labels, once the sorted copy is released
         degrees = np.empty(n, dtype=itype)
         degrees[order] = tally
-        tally = degrees
     return GraphSample(
         n=n,
         edge_count=edge_count,
-        degrees=tally,
+        degrees=degrees,
         candidates_examined=candidates,
         edges=None if pieces is None else np.concatenate(pieces),
     )
@@ -217,25 +214,19 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
         key.sort()
         new = np.concatenate(([True], key[1:] != key[:-1]))
         k = block[seg[new]]
-        del seg, d
-        key = key[new]
-        del new
-        key -= base[k]
-        w = width[k]
+        del seg
+        key = key[new] - base[k]
+        w, tri = width[k], diag[k]
         # rectangle: row r, column c; triangle: the pair (c + r + 1 mod w, c),
         # where c + r + 1 < 2w, as its rows and columns start together
-        r, c = np.divmod(key, w, out=(None, key))
-        t = np.flatnonzero(diag[k])
-        rt, wt = r[t] + c[t] + 1, w[t]
-        rt -= wt * (rt >= wt)
-        r[t] = rt
-        del w, t, rt, wt
+        r, c = np.divmod(key, w)
+        np.add(r, c + 1, out=r, where=tri)
+        np.subtract(r, w, out=r, where=tri & (r >= w))
+        del key, w, tri  # not held while the caller thins the chunk
         r += row0[k]
         c += col0[k]
-        envelope = q[k]
-        del k  # not held while the caller thins the chunk
-        yield r, c, envelope
-        del r, c, key, envelope  # nor while the next chunk is drawn
+        yield r, c, q[k]
+        del k, r, c  # nor while the next chunk is drawn
 
 
 def pair_sums(weights: WeightVector) -> tuple[float, float, float]:

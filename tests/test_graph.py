@@ -470,12 +470,11 @@ class TestMemoryAndStreams:
         Per vertex, the argsort of the weights holds them, their negation and
         the int64 order (24 bytes); thinning holds the weights, their sorted copy
         and the int32 order and tally (24 bytes).  Measured: slopes of 23.3 (in a
-        fresh process) and 24.3 (after other tests), and intercepts of 57 and
-        43 * _CHUNK bytes.  The bounds are the worst of these plus a margin:
-        9% on the slope, and about a quarter, 72 * _CHUNK, on the intercept,
-        which moves by 3 * _CHUNK for each 1 byte per vertex of slope.  The
-        weights themselves peak at 10 bytes per vertex (the values and a
-        positivity mask) plus the temporaries of one block of exact sums.
+        fresh process) and 24.4 (after other tests), and intercepts of 71 and
+        58 * _CHUNK bytes.  The bounds are the worst of these plus a margin of
+        8-10%; the intercept moves by 3 * _CHUNK for each byte per vertex of
+        slope.  The weights themselves peak at 10 bytes per vertex (the values
+        and a positivity mask) plus the temporaries of one block of exact sums.
         The degrees are the tally, in the sampler's index type.
         """
         sizes = (200_000, 800_000)
@@ -483,19 +482,19 @@ class TestMemoryAndStreams:
         slope = (s1 - s0) / (sizes[1] - sizes[0])
         intercept = s0 - slope * sizes[0]
         assert slope <= 26.5, (slope, intercept)
-        assert intercept <= 72 * grg.graph._CHUNK, (slope, intercept)
+        assert intercept <= 78 * grg.graph._CHUNK, (slope, intercept)
         for n, w, g in zip(sizes, (w0, w1), (g0, g1)):
             assert w <= 10 * n + 64 * grg.weights._SUM_BLOCK, (n, w / n)
             assert g.degrees.dtype == np.int32
             assert int(g.degrees.sum()) == 2 * g.edge_count > n
 
     def test_descending_weights_peak(self):
-        """On descending weights the sampler holds at most 17.5 bytes per vertex, weights included.
+        """On descending weights the sampler holds at most 18.5 bytes per vertex, weights included.
 
         The weights (8), the int32 tally, which is the degrees (4), and one
         candidate pass; a sorted copy and an int32 vertex order would add 12.
-        Measured at n = 10^6: 15.2 bytes per vertex (15.9 in a fresh process);
-        the bound leaves a margin of 10% over the worst.
+        Measured at n = 10^6: 16.2 bytes per vertex (16.9 in a fresh process);
+        the bound leaves a margin of 9% over the worst.
         """
         n = 10**6
         tracemalloc.start()
@@ -506,7 +505,7 @@ class TestMemoryAndStreams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 17.5 * n, peak / n
+        assert peak <= 18.5 * n, peak / n
         assert int(g.degrees.sum()) == 2 * g.edge_count > n
 
     def test_paretolog_draw_peak(self):
