@@ -12,9 +12,9 @@ Every graph comes from ``sample_graph_fast``, the one production
 sampler.  ``--threads`` asks for worker processes (0 = one per core);
 at most one per core and one per task are started.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numerical, I/O or
-memory failure.  The environment variable GRG_SEED overrides the config
-master seed (an explicit ``--seed`` flag wins over both).
+Exit codes: 0 success; 1 usage error or any ``GrgError``; 2 numerical
+failure (any ``ArithmeticError``, ``BracketingError`` among them), I/O or
+memory failure.  ``--seed`` is the only way to change the seed of a run.
 """
 
 from __future__ import annotations
@@ -22,37 +22,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    BracketingError,
-    ConfigError,
-    DomainError,
-    GrgError,
-    HypothesisError,
-    ParameterError,
-    SizeError,
-    UnsupportedModelError,
-)
+from .errors import ConfigError, GrgError, ParameterError
 from .graph import descending_weights, sample_graph_fast, write_edge_list
 from .weights import (LemmaRatios, lemma1_ratio_check, model_from_config, model_to_config,
                       sample_weights)
 
 __all__ = ["main"]
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    ParameterError,
-    DomainError,
-    UnsupportedModelError,
-    SizeError,
-    HypothesisError,
-)
-_NUMERIC_ERRORS = (BracketingError, FloatingPointError, OverflowError)
-
 
 class _UsageError(Exception):
     pass
@@ -83,37 +62,23 @@ def parse_model_spec(spec: str):
     return model_from_config(params)
 
 
-def _load_config(path: str, args):
+def _load_config(path: str, seed: int | None):
     from .report import config_from_dict, read_json
 
     config = config_from_dict(read_json(path, "config"))
-    seed = _resolve_seed(args, config.master_seed)
-    return config if seed == config.master_seed else dataclasses.replace(config, master_seed=seed)
-
-
-def _resolve_seed(args, fallback: int) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("GRG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"GRG_SEED must be an integer, got {env!r}") from None
-    return fallback
+    return config if seed is None else dataclasses.replace(config, master_seed=seed)
 
 
 def _cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
-    seed = _resolve_seed(args, 0)
-    weights = sample_weights(model, args.n, seed)
+    weights = sample_weights(model, args.n, args.seed)
     if args.edges is None:  # no per-vertex output, so the vertices may be relabelled
         weights = descending_weights(weights)
-    graph = sample_graph_fast(weights, seed + 1, store_edges=args.edges is not None)
+    graph = sample_graph_fast(weights, args.seed + 1, store_edges=args.edges is not None)
     summary = {
         "model": model_to_config(model),
         "n": graph.n,
-        "seed": seed,
+        "seed": args.seed,
         "sampler": "fast",
         "edge_count": graph.edge_count,
         "edges_per_vertex": graph.edge_count / graph.n,
@@ -143,7 +108,7 @@ def _cmd_run(args) -> int:
     from .limits import run_experiment
     from .report import emit_report
 
-    config = _load_config(args.config, args)
+    config = _load_config(args.config, args.seed)
     if args.command == "experiment" and config.theorem == "AUDIT":
         raise ConfigError("use 'grg audit' for audit configs")
     if args.command == "audit" and config.theorem != "AUDIT":
@@ -188,11 +153,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"grg {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("sample", parents=[], help="sample one graph", add_help=True)
+    p = sub.add_parser("sample", help="sample one graph")
     p.add_argument("--model", required=True, help="e.g. pareto:alpha=1.5,xm=1")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="weight seed, overrides GRG_SEED; the graph seed is seed+1")
+    p.add_argument("--seed", type=int, default=0, help="weight seed; the graph seed is seed+1")
     p.add_argument("--out", default=None, help="summary JSON path (stdout if omitted)")
     p.add_argument("--edges", default=None, help="optional edge-list dump path")
     p.set_defaults(handler=_cmd_sample)
@@ -236,20 +200,17 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except _CONFIG_ERRORS as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
-    except _NUMERIC_ERRORS as exc:
+    except ArithmeticError as exc:  # BracketingError too; it must come before GrgError
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    except GrgError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 1
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return 2
     except MemoryError:
         sys.stderr.write("out of memory\n")
-        return 2
-    except GrgError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

@@ -269,7 +269,8 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
         values = np.full(n, model.resolved_value(n))
     elif isinstance(model, ExponentialWeights):
         values = rng.standard_exponential(n)
-        values /= model.rate
+        with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
+            values /= model.rate
     elif isinstance(model, LogNormalWeights):
         values = rng.lognormal(model.mu, model.sigma, n)
     elif isinstance(model, GammaWeights):
@@ -495,6 +496,7 @@ def compute_norming(model: WeightModel, n: int) -> float:
             "norming sequence is defined for heavy-tailed models with alpha in (1, 2)"
         )
     xm = model.xm
+    where = f"for {model_to_config(model)} at n={n}"
 
     def gap(a: float) -> float:
         return a * a - n * truncated_second_moment(model, a)
@@ -506,13 +508,13 @@ def compute_norming(model: WeightModel, n: int) -> float:
             break
         hi *= 2.0
     else:
-        raise BracketingError("no positive gap found while widening the bracket")
+        raise BracketingError(f"no positive gap found while widening the bracket {where}")
     lo = 0.5 * hi
     while gap(lo) > 0:
         hi = lo
         lo *= 0.5
         if lo <= xm * (1.0 + 1e-12):
-            raise BracketingError("no sign change above the support edge")
+            raise BracketingError(f"a^2 = n E[W^2; W <= a] has no root above xm {where}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if gap(mid) <= 0:

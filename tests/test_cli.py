@@ -18,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grg
+import grg.cli
+import grg.errors
 import grg.graph
 import grg.limits
 import grg.weights
 from grg.cli import main, parse_model_spec
-from grg import ExponentialWeights, ParameterError, ParetoWeights
+from grg import (BracketingError, ConfigError, DomainError, ExponentialWeights, GrgError,
+                 HypothesisError, ParameterError, ParetoWeights, SizeError, UnsupportedModelError)
 
 PARETO = {"kind": "pareto", "alpha": 1.5, "xm": 1.0}
 PARETOLOG = {"kind": "paretolog", "alpha": 1.5, "xm": 1.0}
@@ -219,15 +222,18 @@ class TestExperimentCommand:
         lines = (out / "result.csv").read_text().splitlines()
         assert len(lines) == 1 + 30
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_env_seed_is_ignored(self, tmp_path, monkeypatch):
+        """Only --seed changes the seed: GRG_SEED in the environment changes no byte."""
         cfg = write_config(tmp_path / "t1.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
         monkeypatch.setenv("GRG_SEED", "999")
-        main(["experiment", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
-        monkeypatch.delenv("GRG_SEED")
-        main(["experiment", "--config", str(cfg), "--out", str(out2), "--threads", "1",
-              "--seed", "999"])
-        assert (out1 / "result.csv").read_bytes() == (out2 / "result.csv").read_bytes()
+        assert main(["experiment", "--config", str(cfg), "--out", str(out2), "--threads", "1"]) == 0
+        for name in ("result.csv", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        out = tmp_path / "g.json"
+        assert main(["sample", "--model", "exponential:rate=1", "--n", "10", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 0
 
     def test_missing_config_is_exit_1(self, tmp_path):
         assert main(["experiment", "--config", str(tmp_path / "nope.json"),
@@ -277,6 +283,21 @@ class TestAuditCommand:
         )
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
 
+    def test_audit_refuses_experiment_config(self, tmp_path):
+        code, err = run_cli(["audit", "--config", str(write_config(tmp_path / "t1.json")),
+                             "--out", str(tmp_path / "r")])
+        assert code == 1 and err == "config error: audit config must set theorem='AUDIT'\n", err
+        assert not (tmp_path / "r").exists()
+
+    def test_no_norming_root_is_exit_2(self, tmp_path):
+        """At n = 2, a^2 = n E[W^2; W <= a] has no root above xm for Pareto(1.5, 1)."""
+        cfg = write_config(tmp_path / "audit.json", model=PARETO, theorem="AUDIT",
+                           n_grid=[2, 100], replications=2)
+        code, err = run_cli(["audit", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 2 and err.startswith("numerical failure:"), err
+        assert "'pareto'" in err and "n=2" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestLemma1Command:
     def test_csv_and_flag_note(self, tmp_path, capsys):
@@ -295,7 +316,7 @@ class TestLemma1Command:
     def test_light_tail_rejected(self, tmp_path):
         assert main(["lemma1", "--model", "exponential:rate=1", "--x", "10"]) == 1
 
-    @pytest.mark.parametrize("x", ["inf", "1e400", "100,nan", "abc", "10,x"])
+    @pytest.mark.parametrize("x", ["inf", "1e400", "100,nan", "abc", "10,x", ","])
     def test_nonfinite_truncation_point_is_exit_1(self, x, capsys):
         assert main(["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", x]) == 1
         err = capsys.readouterr().err
@@ -506,6 +527,7 @@ MALFORMED_RUNS = {
         "LLN", "result.csv", lambda text: text[: text.rindex("\n", 0, -1) + 1]
     ),
     "csv-bad-header": ("T1", "result.csv", lambda text: "n,rep" + text[text.index("\n"):]),
+    "csv-negative-count": ("T1", "result.csv", lambda text: edit_csv(text, 1, 3, lambda f: "-1")),
     "csv-non-numeric": ("T1", "result.csv", lambda text: edit_csv(text, 1, 3, lambda f: "many")),
     "csv-not-finite": ("T1", "result.csv", lambda text: edit_csv(text, 1, 4, lambda f: "nan")),
     "csv-rows-out-of-order": ("T1", "result.csv", swap_rows),
@@ -698,6 +720,27 @@ for _key, _value in READ_AS_OTHER_VALUES:
     INVALID_FIELDS[_key] = INVALID_FIELDS[_key] + [_value]
 
 
+# Bad commands by test id, each with its exit code; {no_root} is an AUDIT config whose
+# n_grid starts at n = 2, where the norming equation has no root.
+FRESH_PROCESS_FAILURES = {
+    "exponential-overflow": (1, ["sample", "--model", "exponential:rate=1e-308", "--n", "1000"]),
+    "no-norming-root": (2, ["audit", "--config", "{no_root}", "--out", "{out}", "--threads", "1"]),
+    "lemma1-no-x": (1, ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", ","]),
+    "lemma1-nan-x": (1, ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", "nan"]),
+    "one-vertex": (1, ["sample", "--model", "exponential:rate=1", "--n", "1"]),
+    "too-many-vertices": (1, ["sample", "--model", "exponential:rate=1", "--n", "5000000000"]),
+}
+# Each exception a command handler may raise: the exit code and the first word of stderr.
+EXIT_RULE = {
+    **{exc: (1, "config") for exc in (GrgError, ConfigError, DomainError, HypothesisError,
+                                      ParameterError, SizeError, UnsupportedModelError)},
+    **{exc: (2, "numerical") for exc in (BracketingError, OverflowError, FloatingPointError,
+                                         ZeroDivisionError)},
+    OSError: (2, "i/o"),
+    MemoryError: (2, "out"),
+}
+
+
 def invalid_field():
     return st.sampled_from(sorted(INVALID_FIELDS)).flatmap(
         lambda key: st.tuples(st.just(key), st.sampled_from(INVALID_FIELDS[key]))
@@ -800,6 +843,34 @@ class TestMalformedInput:
         assert "Traceback" not in err, err
         expected = 0 if flag == "--seed" and not not_an_int(value) else 1
         assert code == expected, (flag, value, err)
+
+    @pytest.mark.parametrize("case", sorted(FRESH_PROCESS_FAILURES))
+    def test_fresh_process_fails_plainly(self, tmp_path, case):
+        """Under -W error::RuntimeWarning, no bad command leaves through a warning or a traceback."""
+        expected, argv = FRESH_PROCESS_FAILURES[case]
+        cfg = write_config(tmp_path / "c.json", model=PARETO, theorem="AUDIT", n_grid=[2, 100],
+                           replications=2)
+        argv = [arg.format(no_root=cfg, out=tmp_path / "out") for arg in argv]
+        proc = _run_python(["-W", "error::RuntimeWarning", "-m", "grg.cli", *argv])
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+
+
+class TestExitCodes:
+    """The exit code and the stderr prefix follow the exception hierarchy."""
+
+    def test_every_grg_error_has_an_exit_code(self):
+        errors = {v for v in vars(grg.errors).values() if isinstance(v, type)}
+        assert errors <= set(EXIT_RULE)
+
+    @pytest.mark.parametrize("exc", list(EXIT_RULE), ids=lambda exc: exc.__name__)
+    def test_exit_code_follows_the_hierarchy(self, monkeypatch, exc):
+        def handler(args):
+            raise exc("raised by the handler")
+
+        monkeypatch.setattr(grg.cli, "_cmd_lemma1", handler)
+        code, err = run_cli(["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", "10"])
+        assert (code, err.split()[0]) == EXIT_RULE[exc], err
 
 
 class RecordingExecutor:

@@ -170,6 +170,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(ExponentialWeights(1.0), (100,), 100, 1, "T3")
 
+    @pytest.mark.parametrize("n_grid", [(), (1, 100), (0,)])
+    def test_grid_needs_two_vertices(self, n_grid):
+        with pytest.raises(ConfigError, match="every n >= 2"):
+            ExperimentConfig(ExponentialWeights(1.0), n_grid, 100, 1, "LLN")
+
+    def test_audit_needs_t_values(self):
+        with pytest.raises(ConfigError, match="at least one t value"):
+            ExperimentConfig(ParetoWeights(1.5, 1.0), (100,), 2, 1, "AUDIT", t_values=())
+
     @pytest.mark.parametrize("n_grid", [(5000, 200), (200, 200), (100, 300, 200)])
     def test_grid_must_increase(self, n_grid):
         """Trend verdicts read along the grid, so a grid out of order is refused."""
@@ -333,6 +342,11 @@ class TestProofAudit:
         """50 dominant weights put 2,500 ordered pairs past the series cut."""
         values = np.concatenate([np.ones(2000), np.full(50, 1e3)])
         _assert_matches_dense(WeightVector.from_values(values))
+
+    @pytest.mark.parametrize("c_n, a_n", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, math.nan)])
+    def test_normings_must_be_positive(self, c_n, a_n):
+        with pytest.raises(DomainError, match="normings must be positive"):
+            proof_audit(WeightVector.from_values(np.ones(10)), 1.0, c_n, a_n)
 
     def test_weights_whose_powers_overflow(self):
         for values in ([1e32, 3.0, 2.0, 1.0, 1e-3], [1e50, 1e49, 3.0, 1e-3, 1e-9], [1e60, 1e60]):

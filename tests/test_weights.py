@@ -156,9 +156,11 @@ class TestSampling:
             WeightVector.from_values(values * 50)
 
     def test_overflowing_pareto_draw_is_rejected(self):
-        """alpha=0.01 overflows some draws to inf instead of giving L = inf."""
-        with pytest.raises(ParameterError):
-            sample_weights(ParetoWeights(0.01, 1.0), 1000, seed=3)
+        """Pareto alpha=0.01 and Exponential rate=1e-308 overflow some draws to inf instead of
+        giving L = inf; the overflow raises ParameterError, not a RuntimeWarning."""
+        for model in (ParetoWeights(0.01, 1.0), ExponentialWeights(1e-308)):
+            with pytest.raises(ParameterError):
+                sample_weights(model, 1000, seed=3)
 
 
 class TestAnalyticMoments:
@@ -191,12 +193,16 @@ class TestAnalyticMoments:
             np.testing.assert_allclose([mom.ew, mom.ew2], [ew, ew2], rtol=1e-8)
 
     def test_paretolog_mean_matches_quadrature(self):
-        model = ParetoLogWeights(1.7, 2.0)
-        mom = analytic_moments(model)
-        f = pdf(model)
-        ew = integrate.quad(lambda w: w * f(w), 2.0, np.inf)[0]
-        np.testing.assert_allclose(mom.ew, ew, rtol=1e-7)
-        assert math.isinf(mom.ew2)
+        """E[W] at alpha = 1.7 and 2.5; E[W^2] and Var W, finite only above alpha = 2."""
+        heavy = ParetoLogWeights(1.7, 2.0)
+        ew = integrate.quad(lambda w: w * pdf(heavy)(w), 2.0, np.inf)[0]
+        np.testing.assert_allclose(analytic_moments(heavy).ew, ew, rtol=1e-7)
+        assert math.isinf(analytic_moments(heavy).ew2)
+        light = ParetoLogWeights(2.5, 2.0)
+        ew, ew2 = (integrate.quad(lambda w: w**k * pdf(light)(w), 2.0, np.inf)[0] for k in (1, 2))
+        mom = analytic_moments(light)
+        np.testing.assert_allclose([mom.ew, mom.ew2, mom.var_w], [ew, ew2, ew2 - ew * ew],
+                                   rtol=1e-7)
 
 
 class TestTruncatedMoments:
@@ -210,6 +216,7 @@ class TestTruncatedMoments:
         m = ParetoWeights(1.5, 1.0)
         np.testing.assert_allclose(truncated_first_moment_tail(m, 100.0), 0.3)
         np.testing.assert_allclose(truncated_first_moment_tail(m, 1.0), 3.0)
+        assert truncated_first_moment_tail(ParetoWeights(0.8, 1.0), 100.0) == math.inf
 
     def test_exponential_quadrature_recovers_full_moment(self):
         """The full EW^2 = 2 is analytic; the truncated second moment has no light-tailed path."""
