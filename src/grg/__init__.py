@@ -22,9 +22,9 @@ _EXPORTS = {
               "ParameterError SizeError UnsupportedModelError",
     "seeding": "derive_seed splitmix64",
     "weights": "ConstantWeights ExponentialWeights GammaWeights LemmaRatios LogNormalWeights "
-               "Moments ParetoLogWeights ParetoWeights TailParams WeightModel WeightVector "
+               "Moments ParetoLogWeights ParetoWeights WeightModel WeightVector "
                "analytic_moments compute_norming lemma1_ratio_check model_from_config "
-               "model_to_config sample_weights tail_params truncated_first_moment_tail "
+               "model_to_config sample_weights truncated_first_moment_tail "
                "truncated_second_moment",
     "graph": "GraphSample conditional_edge_mean pair_sums sample_graph_fast write_edge_list",
     "stable": "StableParams sample_stable stable_cdf_batch",

@@ -42,20 +42,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, HypothesisError, UnsupportedModelError
+from .errors import ConfigError, DomainError, HypothesisError
 from .graph import conditional_edge_mean, pair_sums, sample_graph_fast
 from .seeding import derive_seed
 from .stats import KsResult, ks_one_sample, ks_two_sample, median, normal_cdf
 from .weights import (
     WeightModel,
     WeightVector,
-    _exp_gamma_below,
-    _gamma_upper,
-    _log_gamma_mixture,
+    _heavy_tailed,
+    _pair_moments,
     analytic_moments,
     compute_norming,
     sample_weights,
-    tail_params,
 )
 
 __all__ = [
@@ -309,27 +307,13 @@ def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, f
     """The two pair-moment vanishing terms, in closed form:
 
         (1/a_n) * E[ W1^2 W2^2 ; W1 W2 <= n ]   and
-        (n/a_n) * E[ W1 W2     ; W1 W2 >  n ].
+        (n/a_n) * E[ W1 W2     ; W1 W2 >  n ],
 
-    T = log(W1 W2 / xm^2) is the two-factor log-weight mixture of
-    ``weights``: Gamma(k, alpha) over k = 2 (Pareto) or k = 2, 3, 4
-    (ParetoLog).  The cut is T <= c = log(n / xm^2), and per component
-
-        E[e^(2T); T <= c] = alpha^k * int_0^c t^(k-1) e^((2-alpha) t) dt / (k-1)!
-        E[e^T;    T >  c] = (alpha/(alpha-1))^k * Q(k, (alpha-1) c),
-
-    with Q the regularized upper incomplete gamma function, a finite sum
-    for integer k.  Only laws with such a tail and alpha > 1 qualify.
+    from the Gamma mixture that is the law of log(W1 W2 / xm^2), as in
+    ``weights``; only Pareto and ParetoLog laws with alpha > 1 qualify.
     """
-    mixture = _log_gamma_mixture(model, 2)
-    a, xm = model.alpha, model.xm
-    if not a > 1.0:
-        raise UnsupportedModelError("pair moments need a power-law tail with alpha > 1")
-    c = max(math.log(n / (xm * xm)), 0.0)
-    small = sum(w * a**k * _exp_gamma_below(k, 2.0 - a, c) for k, w in mixture.items())
-    large = sum(w * (a / (a - 1.0)) ** k * _gamma_upper(k, (a - 1.0) * c)
-                for k, w in mixture.items())
-    return xm**4 * small / a_n, n * xm**2 * large / a_n
+    small, large = _pair_moments(model, n)
+    return small / a_n, large / a_n
 
 
 def _audit_one(args):
@@ -391,8 +375,7 @@ def _decreasing(values: list[float]) -> bool:
 
 def _check_hypothesis(config: ExperimentConfig) -> None:
     """Raise HypothesisError if the model is outside the experiment's theorem."""
-    tp = tail_params(config.model)
-    if config.theorem in ("T2", "AUDIT") and (tp is None or not 1.0 < tp.alpha < 2.0):
+    if config.theorem in ("T2", "AUDIT") and not _heavy_tailed(config.model):
         raise HypothesisError(f"{config.theorem} needs a heavy tail with alpha in (1, 2)")
     mom = analytic_moments(config.model, int(config.n_grid[0]))
     if config.theorem == "T1" and not math.isfinite(mom.ew2):

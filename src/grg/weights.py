@@ -21,6 +21,7 @@ The module needs only numpy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -37,14 +38,12 @@ __all__ = [
     "ParetoLogWeights",
     "WeightModel",
     "WeightVector",
-    "TailParams",
     "Moments",
     "LemmaRatios",
     "sample_weights",
     "analytic_moments",
     "truncated_second_moment",
     "truncated_first_moment_tail",
-    "tail_params",
     "lemma1_ratio_check",
     "compute_norming",
     "model_to_config",
@@ -127,9 +126,9 @@ class ParetoWeights:
     xm: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.xm > 0):
+        if not (self.alpha > 0 and self.xm >= sys.float_info.min):  # so every draw is normal
             raise ParameterError(
-                f"alpha and xm must be positive, got ({self.alpha}, {self.xm})"
+                f"alpha must be positive and xm a normal double, got ({self.alpha}, {self.xm})"
             )
 
 
@@ -151,8 +150,8 @@ class ParetoLogWeights:
             raise ParameterError(
                 f"log-corrected Pareto needs alpha > 1, got {self.alpha}"
             )
-        if not (self.xm > 0):
-            raise ParameterError(f"xm must be positive, got {self.xm}")
+        if not (self.xm >= sys.float_info.min):  # so every draw is normal
+            raise ParameterError(f"xm must be a positive normal double, got {self.xm}")
 
     def survival(self, w):
         w = np.asarray(w, dtype=float)
@@ -173,20 +172,10 @@ WeightModel = Union[
 ]
 
 
-@dataclass(frozen=True)
-class TailParams:
-    """Parameters of a regularly varying tail P(W > x) = c x^(-alpha) h(x)."""
-
-    alpha: float
-    c: float
-    h_kind: str  # "constant" | "logarithmic"
-    x0: float = 1.0  # reference scale of the logarithmic factor
-
-    def h(self, x):
-        if self.h_kind == "constant":
-            return np.ones_like(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore", divide="ignore"):  # lemma 1 refuses an infinite h
-            return 1.0 + np.log(np.asarray(x, dtype=float) / self.x0)
+def _heavy_tailed(model: WeightModel) -> bool:
+    """The stable limit's tail: P(W > x) = c x^(-alpha) h(x), c = xm^alpha, 1 < alpha < 2,
+    with h = 1 (Pareto) or h(x) = 1 + log(x/xm) (ParetoLog)."""
+    return isinstance(model, (ParetoWeights, ParetoLogWeights)) and 1.0 < model.alpha < 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +269,7 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
         np.subtract(1.0, values, out=values)
         with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
             values **= -1.0 / model.alpha
-        values *= model.xm
+            values *= model.xm
     elif isinstance(model, ParetoLogWeights):
         # log(W/xm) = (E1 + B E2)/alpha, B ~ Bernoulli(1/alpha) (see _log_gamma_mixture), and
         # one uniform V on (0, 1] gives B E2 = max(0, -log(alpha V)): V <= 1/alpha has
@@ -369,13 +358,12 @@ def truncated_second_moment(model: WeightModel, x: float) -> float:
     if x <= xm:
         return 0.0
     c = _log_ratio(x, xm)
+    quantity = f"E[W^2; W <= {x}]"
     try:
-        return _finite(model, f"E[W^2; W <= {x}]", lambda: xm * (xm * sum(
-            w * a**k * _exp_gamma_below(k, 2.0 - a, c) for k, w in mixture.items())))
+        return _finite(model, quantity, lambda: xm * (xm * _sum_below(mixture, a, c)))
     except OverflowError:  # e^((2-alpha)c) overflows; xm^2 e^((2-alpha)c) may not
         log_xm2 = 2.0 * math.log(xm)
-        return _finite(model, f"E[W^2; W <= {x}]", lambda: sum(
-            w * a**k * _exp_gamma_below(k, 2.0 - a, c, log_xm2) for k, w in mixture.items()))
+        return _finite(model, quantity, lambda: _sum_below(mixture, a, c, log_xm2))
 
 
 def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
@@ -388,8 +376,33 @@ def truncated_first_moment_tail(model: WeightModel, x: float) -> float:
     if a <= 1:
         return math.inf
     c = _log_ratio(max(x, xm), xm)
-    return _finite(model, f"E[W; W >= {x}]", lambda: xm * sum(
-        w * (a / (a - 1.0)) ** k * _gamma_upper(k, (a - 1.0) * c) for k, w in mixture.items()))
+    return _finite(model, f"E[W; W >= {x}]", lambda: xm * _sum_above(mixture, a, c))
+
+
+def _pair_moments(model: WeightModel, x: float) -> tuple[float, float]:
+    """E[(W1 W2)^2; W1 W2 <= x] and x E[W1 W2; W1 W2 > x] of two i.i.d. weights.
+
+    T = log(W1 W2 / xm^2) is the two-factor log-weight mixture: Gamma(k, alpha) over
+    k = 2 (Pareto) or k = 2, 3, 4 (ParetoLog), cut at c = log(x / xm^2), so the two
+    are xm^4 E[e^(2T); T <= c] and x xm^2 E[e^T; T > c].  Only alpha > 1 qualifies.
+    """
+    mixture = _log_gamma_mixture(model, 2)
+    a, xm = model.alpha, model.xm
+    if not a > 1.0:
+        raise UnsupportedModelError("pair moments need a power-law tail with alpha > 1")
+    c = max(math.log(x / (xm * xm)), 0.0)
+    return xm**4 * _sum_below(mixture, a, c), x * xm**2 * _sum_above(mixture, a, c)
+
+
+def _sum_below(mixture: dict[int, float], a: float, c: float, log_scale: float = 0.0) -> float:
+    """e^s E[e^(2T); T <= c], T of the mixture {k: w_k} of Gamma(k, alpha), s = ``log_scale``."""
+    return sum(w * a**k * _exp_gamma_below(k, 2.0 - a, c, log_scale) for k, w in mixture.items())
+
+
+def _sum_above(mixture: dict[int, float], a: float, c: float) -> float:
+    """E[e^T; T > c], T as in _sum_below."""
+    b = a - 1.0
+    return sum(w * (a / b) ** k * _gamma_upper(k, b * c) for k, w in mixture.items())
 
 
 def _log_gamma_mixture(model: WeightModel, factors: int = 1) -> dict[int, float]:
@@ -436,15 +449,6 @@ def _gamma_upper(k: int, y: float) -> float:
     return math.exp(-y) * sum(y**j / math.factorial(j) for j in range(k))
 
 
-def tail_params(model: WeightModel) -> TailParams | None:
-    """Tail descriptor for the heavy-tailed models, None otherwise."""
-    if isinstance(model, (ParetoWeights, ParetoLogWeights)):
-        c = _finite(model, "xm**alpha", lambda: model.xm**model.alpha)
-        h_kind = "constant" if isinstance(model, ParetoWeights) else "logarithmic"
-        return TailParams(model.alpha, c, h_kind, model.xm)
-    return None
-
-
 def lemma1_ratio_check(model: WeightModel, x_grid) -> list[LemmaRatios]:
     """Exact truncated moments against their regular-variation asymptotes.
 
@@ -457,21 +461,27 @@ def lemma1_ratio_check(model: WeightModel, x_grid) -> list[LemmaRatios]:
     that variant disagrees with the exact closed form (for a pure
     power-law tail the ratio is exactly alpha/(2-alpha)), so it is
     reported as ``ratio_tail_alt`` for flagging rather than asserted.
+    The tail form holds only from xm on, so every x must be at least xm.
     """
-    tp = tail_params(model)
-    if tp is None or not (1.0 < tp.alpha < 2.0):
+    if not _heavy_tailed(model):
         raise UnsupportedModelError("lemma 1 is stated for heavy tails with alpha in (1, 2)")
+    a, xm = model.alpha, model.xm
+    c = _finite(model, "xm**alpha", lambda: xm**a)
+    is_pareto = isinstance(model, ParetoWeights)
     out = []
     for x in np.asarray(x_grid, dtype=float):
         x = float(x)
         if not math.isfinite(x):
             raise ParameterError(f"truncation point must be finite, got {x}")
-        h = float(tp.h(x))
+        if x < xm:
+            raise ParameterError(f"lemma 1 needs truncation points x >= xm = {xm}, got {x}")
+        with np.errstate(over="ignore", divide="ignore"):  # an infinite h is refused below
+            h = 1.0 if is_pareto else float(1.0 + np.log(np.asarray(x, dtype=float) / xm))
         exact2 = truncated_second_moment(model, x)
         exact_tail = truncated_first_moment_tail(model, x)
-        asym2 = tp.c * tp.alpha / (2.0 - tp.alpha) * x ** (2.0 - tp.alpha) * h
-        karamata = tp.c * tp.alpha / (tp.alpha - 1.0) * x ** (1.0 - tp.alpha) * h
-        alt = tp.c * (2.0 - tp.alpha) / (tp.alpha - 1.0) * x ** (1.0 - tp.alpha) * h
+        asym2 = c * a / (2.0 - a) * x ** (2.0 - a) * h
+        karamata = c * a / (a - 1.0) * x ** (1.0 - a) * h
+        alt = c * (2.0 - a) / (a - 1.0) * x ** (1.0 - a) * h
         if not all(0.0 < abs(v) < math.inf for v in (asym2, karamata, alt)):
             raise ParameterError(f"an asymptote underflows to 0 or overflows at x={x}")
         out.append(LemmaRatios(x, exact2, exact_tail, exact2 / asym2, exact_tail / karamata,
@@ -490,18 +500,18 @@ def compute_norming(model: WeightModel, n: int) -> float:
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
-    tp = tail_params(model)
-    if tp is None or not (1.0 < tp.alpha < 2.0):
+    if not _heavy_tailed(model):
         raise UnsupportedModelError(
             "norming sequence is defined for heavy-tailed models with alpha in (1, 2)"
         )
-    xm = model.xm
+    alpha, xm = model.alpha, model.xm
+    c = _finite(model, "xm**alpha", lambda: xm**alpha)
     where = f"for {model_to_config(model)} at n={n}"
 
     def gap(a: float) -> float:
         return a * a - n * truncated_second_moment(model, a)
 
-    guess = (n * tp.c * tp.alpha / (2.0 - tp.alpha)) ** (1.0 / tp.alpha)
+    guess = (n * c * alpha / (2.0 - alpha)) ** (1.0 / alpha)
     hi = max(2.0 * xm, guess)
     for _ in range(200):
         if gap(hi) > 0:

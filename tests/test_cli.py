@@ -396,8 +396,8 @@ _PACKAGE_NAMES = (
     "BracketingError ConfigError DomainError GrgError HypothesisError "
     "ParameterError SizeError UnsupportedModelError derive_seed splitmix64 ConstantWeights "
     "ExponentialWeights GammaWeights LemmaRatios LogNormalWeights Moments ParetoLogWeights "
-    "ParetoWeights TailParams WeightModel WeightVector analytic_moments compute_norming "
-    "lemma1_ratio_check model_from_config model_to_config sample_weights tail_params "
+    "ParetoWeights WeightModel WeightVector analytic_moments compute_norming "
+    "lemma1_ratio_check model_from_config model_to_config sample_weights "
     "truncated_first_moment_tail truncated_second_moment GraphSample "
     "conditional_edge_mean pair_sums sample_graph_fast write_edge_list StableParams sample_stable "
     "stable_cdf_batch KsResult kolmogorov_sf "
@@ -684,7 +684,7 @@ READ_AS_OTHER_VALUES = [
 # the quantity that the error must name.
 OVERFLOWING = {
     "lognormal": ({**TINY_T1, "model": {"kind": "lognormal", "mu": 0, "sigma": 30}}, "E[W^2]"),
-    "pareto": ({**TINY_T1, "model": {"kind": "pareto", "alpha": 2.5, "xm": 1e300}}, "xm**alpha"),
+    "pareto": ({**TINY_T1, "model": {"kind": "pareto", "alpha": 2.5, "xm": 1e300}}, "E[W^2]"),
     "audit": ({**TINY_T1, "model": PARETO, "theorem": "AUDIT", "replications": 2,
                "t_values": [1e308]}, "selfloop_bound"),
     # each law below has a finite second moment, which T1 once refused as infinite
@@ -720,15 +720,34 @@ for _key, _value in READ_AS_OTHER_VALUES:
     INVALID_FIELDS[_key] = INVALID_FIELDS[_key] + [_value]
 
 
-# Bad commands by test id, each with its exit code; {no_root} is an AUDIT config whose
-# n_grid starts at n = 2, where the norming equation has no root.
+# Bad commands by test id: the exit code, a phrase that stderr must hold, and the arguments.
+# {no_root} is an AUDIT config whose n_grid starts at n = 2, where the norming equation has
+# no root; {huge_xm} is a T2 config on Pareto(1.5, 1e210).
 FRESH_PROCESS_FAILURES = {
-    "exponential-overflow": (1, ["sample", "--model", "exponential:rate=1e-308", "--n", "1000"]),
-    "no-norming-root": (2, ["audit", "--config", "{no_root}", "--out", "{out}", "--threads", "1"]),
-    "lemma1-no-x": (1, ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", ","]),
-    "lemma1-nan-x": (1, ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", "nan"]),
-    "one-vertex": (1, ["sample", "--model", "exponential:rate=1", "--n", "1"]),
-    "too-many-vertices": (1, ["sample", "--model", "exponential:rate=1", "--n", "5000000000"]),
+    "exponential-overflow": (1, "must be finite",
+                             ["sample", "--model", "exponential:rate=1e-308", "--n", "1000"]),
+    "no-norming-root": (2, "has no root",
+                        ["audit", "--config", "{no_root}", "--out", "{out}", "--threads", "1"]),
+    "lemma1-no-x": (1, "at least one x",
+                    ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", ","]),
+    "lemma1-nan-x": (1, "must be finite",
+                     ["lemma1", "--model", "pareto:alpha=1.5,xm=1", "--x", "nan"]),
+    # h(x) = 1 + log(x/xm) is negative below xm/e, and no tail form holds below xm
+    "lemma1-below-xm": (1, "x >= xm",
+                        ["lemma1", "--model", "paretolog:alpha=1.5,xm=1", "--x", "0.1"]),
+    "lemma1-xm-alpha": (2, "xm**alpha",
+                        ["lemma1", "--model", "pareto:alpha=1.5,xm=1e300", "--x", "1e301"]),
+    # the weights' squares overflow; T2 needs xm**alpha only for a_n, after the weights
+    "t2-huge-xm": (1, "weights and their totals must be finite",
+                   ["experiment", "--config", "{huge_xm}", "--out", "{out}", "--threads", "1"]),
+    "subnormal-xm": (1, "normal double",
+                     ["sample", "--model", "pareto:alpha=1.5,xm=1e-320", "--n", "1000"]),
+    # the largest of 10^5 draws, about 10^3.3 xm, overflows a double
+    "pareto-draw-overflow": (1, "must be finite",
+                             ["sample", "--model", "pareto:alpha=1.5,xm=1e307", "--n", "100000"]),
+    "one-vertex": (1, "at least 2", ["sample", "--model", "exponential:rate=1", "--n", "1"]),
+    "too-many-vertices": (1, "capped",
+                          ["sample", "--model", "exponential:rate=1", "--n", "5000000000"]),
 }
 # Each exception a command handler may raise: the exit code and the first word of stderr.
 EXIT_RULE = {
@@ -847,12 +866,15 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(FRESH_PROCESS_FAILURES))
     def test_fresh_process_fails_plainly(self, tmp_path, case):
         """Under -W error::RuntimeWarning, no bad command leaves through a warning or a traceback."""
-        expected, argv = FRESH_PROCESS_FAILURES[case]
-        cfg = write_config(tmp_path / "c.json", model=PARETO, theorem="AUDIT", n_grid=[2, 100],
-                           replications=2)
-        argv = [arg.format(no_root=cfg, out=tmp_path / "out") for arg in argv]
+        expected, phrase, argv = FRESH_PROCESS_FAILURES[case]
+        no_root = write_config(tmp_path / "c.json", model=PARETO, theorem="AUDIT",
+                               n_grid=[2, 100], replications=2)
+        huge_xm = write_config(tmp_path / "t2.json", model={**PARETO, "xm": 1e210},
+                               theorem="T2", n_grid=[20, 40], replications=100)
+        argv = [arg.format(no_root=no_root, huge_xm=huge_xm, out=tmp_path / "out") for arg in argv]
         proc = _run_python(["-W", "error::RuntimeWarning", "-m", "grg.cli", *argv])
         assert proc.returncode == expected, proc.stderr
+        assert phrase in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
 
 

@@ -1,12 +1,15 @@
 """Experiment orchestration: statistics, runs, audit terms, determinism."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 import grg.graph
+import grg.limits
 from grg import (
     ConfigError,
     ConstantWeights,
@@ -441,6 +444,15 @@ class TestPairMoments:
     def test_needs_a_power_law_tail(self, model):
         with pytest.raises(UnsupportedModelError):
             audit_pair_moments(model, 100, 1.0)
+
+    def test_mixture_law_stays_in_weights(self):
+        """limits states no mixture sum of its own: it imports none of the mixture helpers."""
+        tree = ast.parse(Path(grg.limits.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "weights"
+                    for alias in node.names}
+        assert imported and not imported & {"_log_gamma_mixture", "_exp_gamma_below",
+                                            "_gamma_upper"}, imported
 
 class TestDispatch:
     def test_run_experiment_routes(self):

@@ -1,6 +1,8 @@
 """Weight models: sampling, moments, truncated moments, norming."""
 
+import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -27,7 +29,6 @@ from grg import (
     model_from_config,
     model_to_config,
     sample_weights,
-    tail_params,
     truncated_first_moment_tail,
     truncated_second_moment,
 )
@@ -40,6 +41,9 @@ PARETOLOG_GRID = [(alpha, xm) for alpha in (1.0001, 1.001, 1.01, 1.1, 1.5, 1.95,
 
 ALL_MODELS = [ConstantWeights(2.0), ExponentialWeights(1.0), LogNormalWeights(0.0, 1.5),
               GammaWeights(0.5, 2.0), ParetoWeights(1.5, 1.0), ParetoLogWeights(1.5, 1.0)]
+
+# sha256 of test_tail_numbers_are_pinned's reprs.
+TAIL_NUMBERS_SHA256 = "3f2e7a0111e015f733f6630cb6d15641f48ada255c870655a279e423cc83314f"
 
 # Positive finite doubles from the subnormals up to 1e300, whose squares overflow.
 POSITIVE_DOUBLES = st.floats(min_value=5e-324, max_value=1e300)
@@ -154,6 +158,14 @@ class TestSampling:
         monkeypatch.setattr(grg.weights, "_SUM_BLOCK", block)
         with pytest.raises(ParameterError):
             WeightVector.from_values(values * 50)
+
+    @pytest.mark.parametrize("cls", [ParetoWeights, ParetoLogWeights])
+    def test_subnormal_xm_is_rejected(self, cls):
+        """Every draw is at least xm, so a normal xm keeps the draws off the subnormal grid."""
+        with pytest.raises(ParameterError, match="normal double"):
+            cls(1.5, 1e-320)
+        tiny = sys.float_info.min
+        assert sample_weights(cls(1.5, tiny), 100, seed=1).values.min() >= tiny
 
     def test_overflowing_pareto_draw_is_rejected(self):
         """Pareto alpha=0.01 and Exponential rate=1e-308 overflow some draws to inf instead of
@@ -339,10 +351,6 @@ class TestParetoLog:
             bound = (1e-15 + alpha * (1.0 + c) * np.finfo(float).eps) * ref
             assert np.all(np.abs(got - ref) <= bound), (alpha, xm)
 
-    def test_tail_params_logarithmic(self):
-        tp = tail_params(ParetoLogWeights(1.5, 2.0))
-        assert tp.h_kind == "logarithmic"
-        np.testing.assert_allclose(tp.h(2.0 * math.e), 2.0)
 
 
 class TestLemmaRatios:
@@ -382,6 +390,16 @@ class TestLemmaRatios:
         with pytest.raises(ParameterError):
             lemma1_ratio_check(ParetoLogWeights(1.5, 1e-10), [1e308])
 
+    @pytest.mark.parametrize("model, x", [(ParetoLogWeights(1.5, 1.0), 0.1),
+                                          (ParetoWeights(1.5, 1.0), 0.5),
+                                          (ParetoLogWeights(1.8, 2.3), math.nextafter(2.3, 0.0))],
+                             ids=["paretolog-h-negative", "pareto", "paretolog-one-ulp-below"])
+    def test_refuses_truncation_point_below_xm(self, model, x):
+        """The tail form c x^(-alpha) h(x) holds only from xm on; below it, h may be negative."""
+        with pytest.raises(ParameterError, match="x >= xm"):
+            lemma1_ratio_check(model, [10.0, x])
+        assert lemma1_ratio_check(model, [model.xm])[0].x == model.xm
+
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_needs_alpha_in_open_interval(self, alpha):
         with pytest.raises(UnsupportedModelError):
@@ -420,6 +438,26 @@ class TestNorming:
         """The root at alpha = 1.999, against a 50-digit mpmath root of the same equation."""
         a = compute_norming(ParetoLogWeights(1.999, 1.0), 5)
         assert abs(a / 4.1559178645989708 - 1.0) <= 1e-13, a
+
+    def test_tail_numbers_are_pinned(self):
+        """Lemma 1 rows, a_n at n = 10 ... 10^9 and the audit's pair moments, bit for bit.
+
+        Two of the models have a non-dyadic xm, so every x / xm, log and xm
+        power is rounded; the sha256 of the reprs fixes the order of those
+        roundings as well as the values.
+        """
+        from grg.limits import audit_pair_moments
+
+        out = []
+        for model in (ParetoWeights(1.5, 1.0), ParetoWeights(1.2, 0.37),
+                      ParetoLogWeights(1.5, 1.0), ParetoLogWeights(1.8, 2.3)):
+            xs = np.concatenate([model.xm * np.geomspace(1.0, 1e12, 25),
+                                 np.geomspace(3.0, 3e11, 11)])
+            out.append(lemma1_ratio_check(model, xs))
+            for n in (10**k for k in range(1, 10)):
+                a_n = compute_norming(model, n)
+                out.append((a_n, audit_pair_moments(model, n, a_n)))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == TAIL_NUMBERS_SHA256
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
