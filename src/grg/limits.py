@@ -412,8 +412,7 @@ _DERIVATIONS = {  # kind -> ((config, n, columns) -> run, runs -> trends)
 }
 
 
-def derive_result(config: ExperimentConfig, table: list[dict],
-                  elapsed_seconds: float = 0.0) -> ExperimentResult:
+def derive_result(config: ExperimentConfig, table: list[dict]) -> ExperimentResult:
     """Table -> result, the one place that computes KS tests, deficits and trends.
 
     ``table`` has the layout that :func:`simulate` returns; ``grg
@@ -423,7 +422,7 @@ def derive_result(config: ExperimentConfig, table: list[dict],
     _check_hypothesis(config)
     derive_run, derive_trends = _DERIVATIONS[config.theorem]
     runs = [derive_run(config, int(n), cols) for n, cols in zip(config.n_grid, table, strict=True)]
-    return ExperimentResult(config, runs, derive_trends(runs), elapsed_seconds)
+    return ExperimentResult(config, runs, derive_trends(runs))
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:

@@ -128,123 +128,91 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 # ----------------------------------------------------------------- SVG
 
 _SVG_W, _SVG_H, _MARGIN = 640, 420, 45
+_AXIS_Y = _SVG_H - _MARGIN  # the pixel row of the x axis
 
 
-def _svg_open(title: str) -> list[str]:
-    return [
+def _frame(title: str, x_range: tuple, y_range: tuple):
+    """A figure's opening elements and its x and y maps, of numbers or arrays, to pixels."""
+
+    def axis(lo, hi, out_lo, out_hi):
+        span = hi - lo if hi > lo else 1.0
+        return lambda v: out_lo + (v - lo) / span * (out_hi - out_lo)
+
+    opening = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W / 2}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
+    return opening, axis(*x_range, _MARGIN, _SVG_W - _MARGIN), axis(*y_range, _AXIS_Y, 30.0)
 
 
-def _scaler(lo, hi, out_lo, out_hi):
-    span = hi - lo if hi > lo else 1.0
-
-    def to_px(v):
-        return out_lo + (v - lo) / span * (out_hi - out_lo)
-
-    return to_px
-
-
-def _write_histogram_svg(path: Path, values: np.ndarray, title: str, overlay=None,
-                         vline: float | None = None) -> None:
-    """Density-normalized histogram bars plus an optional polyline overlay."""
-    values = np.asarray(values, dtype=float)
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    bins = min(60, max(10, int(math.sqrt(len(values)))))
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi), density=True)
-    ymax = float(counts.max()) if counts.max() > 0 else 1.0
-    if overlay is not None:
-        ymax = max(ymax, float(np.max(overlay[1])))
-    x_px = _scaler(lo, hi, _MARGIN, _SVG_W - _MARGIN)
-    y_px = _scaler(0.0, 1.05 * ymax, _SVG_H - _MARGIN, 30.0)
-    parts = _svg_open(title)
-    for k, c in enumerate(counts):
-        x0, x1 = x_px(edges[k]), x_px(edges[k + 1])
-        y0 = y_px(float(c))
-        parts.append(
-            f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-            f'height="{(_SVG_H - _MARGIN) - y0:.2f}" fill="#9ecae1" stroke="#3182bd" stroke-width="0.5"/>'
-        )
-    if overlay is not None:
-        ox, oy = overlay
-        pts = " ".join(f"{x_px(float(x)):.2f},{y_px(float(y)):.2f}" for x, y in zip(ox, oy))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#de2d26" stroke-width="1.5"/>')
-    if vline is not None and lo <= vline <= hi:
-        parts.append(
-            f'<line x1="{x_px(vline):.2f}" y1="30" x2="{x_px(vline):.2f}" '
-            f'y2="{_SVG_H - _MARGIN}" stroke="#de2d26" stroke-width="1.5" stroke-dasharray="5,4"/>'
-        )
-    parts.append(
-        f'<line x1="{_MARGIN}" y1="{_SVG_H - _MARGIN}" x2="{_SVG_W - _MARGIN}" '
-        f'y2="{_SVG_H - _MARGIN}" stroke="black" stroke-width="1"/>'
-    )
-    for frac in (0.0, 0.5, 1.0):
-        v = lo + frac * (hi - lo)
-        parts.append(
-            f'<text x="{x_px(v):.2f}" y="{_SVG_H - _MARGIN + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{v:.3g}</text>'
-        )
-    _write_lines(path, parts + ["</svg>"])
-
-
-def _write_qq_svg(path: Path, a: np.ndarray, b: np.ndarray, title: str,
-                  xlabel: str, ylabel: str) -> None:
-    """Quantile-quantile polyline of two equally sized samples, with y = x."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    lo = float(min(a[0], b[0]))
-    hi = float(max(a[-1], b[-1]))
-    x_px = _scaler(lo, hi, _MARGIN, _SVG_W - _MARGIN)
-    y_px = _scaler(lo, hi, _SVG_H - _MARGIN, 30.0)
-    parts = _svg_open(title)
-    parts.append(
-        f'<line x1="{x_px(lo):.2f}" y1="{y_px(lo):.2f}" x2="{x_px(hi):.2f}" '
-        f'y2="{y_px(hi):.2f}" stroke="#999999" stroke-width="1" stroke-dasharray="4,4"/>'
-    )
-    pts = " ".join(f"{x_px(float(x)):.2f},{y_px(float(y)):.2f}" for x, y in zip(a, b))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="#3182bd" stroke-width="1.5"/>')
-    parts.append(
-        f'<text x="{_SVG_W / 2}" y="{_SVG_H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_SVG_H / 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 14 {_SVG_H / 2})">{ylabel}</text>'
-    )
-    _write_lines(path, parts + ["</svg>"])
+def _polyline(xs, ys, stroke: str) -> str:
+    """The pixel points (xs[k], ys[k]) joined by one line."""
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    return f'<polyline points="{points}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
 
 
 # ------------------------------------------------------------- reports
 
 
-def _t1_figure(path: Path, run) -> None:
-    """Histogram of the normalized edge count under the standard normal density."""
-    values = run.columns["statistic"]
-    xs = np.linspace(float(values.min()), float(values.max()), 200)
-    pdf = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
-    _write_histogram_svg(path, values, f"normalized edge count, n={run.n} (normal overlay)",
-                         overlay=(xs, pdf))
+def _histogram(path: Path, run) -> None:
+    """Density-normalized histogram of the statistic: T1's under the standard normal density,
+    LLN's with a dashed line at the row's ``target``, its limit EW/2."""
+    values, target = run.columns["statistic"], run.row.get("target")
+    lo, hi = float(values.min()), float(values.max())
+    if target is None:
+        title = f"normalized edge count, n={run.n} (normal overlay)"
+        xs = np.linspace(lo, hi, 200)
+        pdf = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
+    else:
+        title = f"edges per vertex, n={run.n} (dashed line: EW/2)"
+    if hi <= lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    bins = min(60, max(10, int(math.sqrt(len(values)))))
+    counts, edges = np.histogram(values, bins=bins, range=(lo, hi), density=True)
+    ymax = float(counts.max()) if counts.max() > 0 else 1.0
+    if target is None:
+        ymax = max(ymax, float(np.max(pdf)))
+    parts, x_px, y_px = _frame(title, (lo, hi), (0.0, 1.05 * ymax))
+    parts += [f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{_AXIS_Y - y0:.2f}" '
+              'fill="#9ecae1" stroke="#3182bd" stroke-width="0.5"/>'
+              for x0, x1, y0 in zip(x_px(edges[:-1]), x_px(edges[1:]), y_px(counts))]
+    if target is None:
+        parts.append(_polyline(x_px(xs), y_px(pdf), "#de2d26"))
+    elif lo <= target <= hi:
+        x = f"{x_px(target):.2f}"
+        parts.append(f'<line x1="{x}" y1="30" x2="{x}" y2="{_AXIS_Y}" stroke="#de2d26" '
+                     'stroke-width="1.5" stroke-dasharray="5,4"/>')
+    parts.append(f'<line x1="{_MARGIN}" y1="{_AXIS_Y}" x2="{_SVG_W - _MARGIN}" y2="{_AXIS_Y}" '
+                 'stroke="black" stroke-width="1"/>')
+    for frac in (0.0, 0.5, 1.0):
+        v = lo + frac * (hi - lo)
+        parts.append(f'<text x="{x_px(v):.2f}" y="{_AXIS_Y + 18}" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="11">{v:.3g}</text>')
+    _write_lines(path, parts + ["</svg>"])
 
 
 def _t2_figure(path: Path, run) -> None:
-    _write_qq_svg(path, run.columns["weight_statistic"], run.columns["statistic"],
-                  f"weight-sum vs edge statistic quantiles, n={run.n}",
-                  "weight-sum statistic", "edge statistic")
+    """Quantile-quantile plot of the edge against the weight-sum statistic, with y = x dashed."""
+    a, b = np.sort(run.columns["weight_statistic"]), np.sort(run.columns["statistic"])
+    lo, hi = float(min(a[0], b[0])), float(max(a[-1], b[-1]))
+    parts, x_px, y_px = _frame(f"weight-sum vs edge statistic quantiles, n={run.n}",
+                               (lo, hi), (lo, hi))
+    parts += [
+        f'<line x1="{x_px(lo):.2f}" y1="{y_px(lo):.2f}" x2="{x_px(hi):.2f}" '
+        f'y2="{y_px(hi):.2f}" stroke="#999999" stroke-width="1" stroke-dasharray="4,4"/>',
+        _polyline(x_px(a), y_px(b), "#3182bd"),
+        f'<text x="{_SVG_W / 2}" y="{_SVG_H - 8}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="12">weight-sum statistic</text>',
+        f'<text x="14" y="{_SVG_H / 2}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 14 {_SVG_H / 2})">edge statistic</text>',
+    ]
+    _write_lines(path, parts + ["</svg>"])
 
 
-def _lln_figure(path: Path, run) -> None:
-    _write_histogram_svg(path, run.columns["statistic"],
-                         f"edges per vertex, n={run.n} (dashed line: EW/2)",
-                         vline=run.row["target"])
-
-
-_FIGURES = {"T1": _t1_figure, "T2": _t2_figure, "LLN": _lln_figure}
+_FIGURES = {"T1": _histogram, "T2": _t2_figure, "LLN": _histogram}
 
 
 def emit_report(result: ExperimentResult, out_dir) -> RunManifest:
@@ -362,7 +330,8 @@ def read_run(run_dir, threads: int = 1):
     config: T2 re-draws every replication's weights, also for the
     conditional edge means, and T1 and LLN those of replication 0.  Every
     column that the result derives again, such as the statistic, must
-    equal the table's.  ConfigError unless the directory is a complete run.
+    equal the table's.  ConfigError unless the directory is a complete run
+    whose manifest holds a finite experiment time >= 0.
     """
     run_dir = Path(run_dir)
     manifest = read_json(run_dir / "manifest.json", "manifest.json")
@@ -370,9 +339,12 @@ def read_run(run_dir, threads: int = 1):
         raw, elapsed = manifest["config"], float(manifest["wall_clock_seconds"]["experiment"])
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ConfigError("manifest.json lacks the config or the experiment time") from None
+    if not 0.0 <= elapsed < math.inf:
+        raise ConfigError(f"manifest.json's experiment time must be finite and >= 0, got {elapsed}")
     config = config_from_dict(raw)
     table = _read_table(run_dir, config, threads)
-    result = derive_result(config, table, elapsed)
+    result = derive_result(config, table)
+    result.elapsed_seconds = elapsed
     csv_name, names = _CSV[config.theorem]
     for run, columns in zip(result.runs, table):
         for name in names:

@@ -26,4 +26,5 @@ def derive_seed(master_seed: int, index: int) -> int:
     The high bit set on the index term keeps index 0 from collapsing to
     a plain rehash of the master seed.
     """
-    return splitmix64(splitmix64(master_seed & _MASK) ^ splitmix64((index & _MASK) | 0x8000000000000000))
+    return splitmix64(splitmix64(master_seed & _MASK)
+                      ^ splitmix64((index & _MASK) | 0x8000000000000000))

@@ -390,8 +390,12 @@ def _pair_moments(model: WeightModel, x: float) -> tuple[float, float]:
     a, xm = model.alpha, model.xm
     if not a > 1.0:
         raise UnsupportedModelError("pair moments need a power-law tail with alpha > 1")
+    xm4 = xm**4
+    if xm4 < sys.float_info.min:
+        raise ArithmeticError(f"xm**4 of {model_to_config(model)} is below the smallest normal "
+                              "double, so the pair moments underflow")
     c = max(math.log(x / (xm * xm)), 0.0)
-    return xm**4 * _sum_below(mixture, a, c), x * xm**2 * _sum_above(mixture, a, c)
+    return xm4 * _sum_below(mixture, a, c), x * xm**2 * _sum_above(mixture, a, c)
 
 
 def _sum_below(mixture: dict[int, float], a: float, c: float, log_scale: float = 0.0) -> float:
@@ -507,6 +511,9 @@ def compute_norming(model: WeightModel, n: int) -> float:
     alpha, xm = model.alpha, model.xm
     c = _finite(model, "xm**alpha", lambda: xm**alpha)
     where = f"for {model_to_config(model)} at n={n}"
+    if xm * xm < sys.float_info.min:  # both sides of the equation underflow to 0 near the root
+        raise ArithmeticError(f"the norming a_n {where} underflows: xm**2 is below the smallest "
+                              "normal double")
 
     def gap(a: float) -> float:
         return a * a - n * truncated_second_moment(model, a)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -51,6 +52,14 @@ TINY_TABLE_SHA256 = {
     "T2": "25fd0b23d4740b063c81070932a0bc5a7c5398c1654f3d393eccfd8815710dea",
     "LLN": "e014f7fb224f8b4b074439d35d20a0b5ed382087c8a4fcfdf475e17de51b4707",
     "AUDIT": "edbb035acce6b8468b6efa9598ef5682164062074da0d1154057f5f10a893964",
+}
+# sha256 of each hist_<n>.svg that the T1, T2 and LLN TINY_RUNS write, under the same rule.
+TINY_FIGURE_SHA256 = {
+    "T1": {"hist_50.svg": "b5266c27b9a04db95c12ef61dd2812554aefd397ae4f48ab251c5f559a7c9a77",
+           "hist_120.svg": "cd49264281c2441c574e9152d4c60c6578b7e7c48cd2f427b29370a2997ff182"},
+    "T2": {"hist_60.svg": "cb3f91338e0d25c6f982a96d3c1aeeb92441ace64263031ee318a53f822c94af",
+           "hist_150.svg": "be277928875166a140fb696f4e890a101500a2b4d6d8f17a0d831f2c135fd984"},
+    "LLN": {"hist_400.svg": "9174262f91e8cdb524ec42c3afbb2d28e49edbfe63857424c217070efe45a9fd"},
 }
 
 
@@ -175,6 +184,12 @@ class TestExperimentCommand:
         table = "audit.csv" if kind == "AUDIT" else "result.csv"
         digest = hashlib.sha256((finished_runs[kind] / table).read_bytes()).hexdigest()
         assert digest == TINY_TABLE_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", sorted(TINY_FIGURE_SHA256))
+    def test_figure_bytes_are_pinned(self, finished_runs, kind):
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in finished_runs[kind].glob("hist_*.svg")}
+        assert digests == TINY_FIGURE_SHA256[kind]
 
     def test_seed_flag_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "t1.json")
@@ -423,6 +438,13 @@ def _modules_loaded(argv: list[str], package: str) -> set[str]:
     return {m for m in loaded if m.split(".")[0] == package}
 
 
+def test_no_source_line_is_wider_than_100_columns():
+    """So that a line count of src/grg cannot shrink by joining statements onto one line."""
+    wide = [f"{path.name}:{k}" for path in sorted(Path(grg.__file__).parent.glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert wide == []
+
+
 class TestStartup:
     """Each command imports only what it computes with, and nothing in grg loads scipy."""
 
@@ -517,6 +539,11 @@ def impossible_edge_count(text: str) -> str:
     return edit_csv(text, 1, 2, lambda f: repr(statistic))
 
 
+def experiment_time(value: str):
+    """An edit of manifest.json that writes ``value`` as the experiment time."""
+    return lambda text: re.sub(r'"experiment": [^,\n]+', f'"experiment": {value}', text)
+
+
 MALFORMED_RUNS = {
     "manifest-not-json": ("T1", "manifest.json", lambda text: text[:-5]),
     "manifest-without-config": ("T1", "manifest.json", lambda text: '{"outputs": []}'),
@@ -559,6 +586,10 @@ MALFORMED_RUNS = {
     "audit-term-not-finite": (  # t_c of the first row
         "AUDIT", "audit.csv", lambda text: edit_csv(text, 1, 10, lambda f: "nan")
     ),
+    # the time is written back into the new manifest, where NaN and Infinity are not JSON
+    "manifest-time-nan": ("T1", "manifest.json", experiment_time("NaN")),
+    "manifest-time-infinite": ("T1", "manifest.json", experiment_time("1e400")),
+    "manifest-time-negative": ("T1", "manifest.json", experiment_time("-0.5")),
 }
 
 
@@ -722,7 +753,8 @@ for _key, _value in READ_AS_OTHER_VALUES:
 
 # Bad commands by test id: the exit code, a phrase that stderr must hold, and the arguments.
 # {no_root} is an AUDIT config whose n_grid starts at n = 2, where the norming equation has
-# no root; {huge_xm} is a T2 config on Pareto(1.5, 1e210).
+# no root; {huge_xm} is a T2 config on Pareto(1.5, 1e210), {tiny_xm} one on Pareto(1.5, 1e-200)
+# and {tiny_xm_audit} an AUDIT config on Pareto(1.5, 1e-100).
 FRESH_PROCESS_FAILURES = {
     "exponential-overflow": (1, "must be finite",
                              ["sample", "--model", "exponential:rate=1e-308", "--n", "1000"]),
@@ -740,6 +772,12 @@ FRESH_PROCESS_FAILURES = {
     # the weights' squares overflow; T2 needs xm**alpha only for a_n, after the weights
     "t2-huge-xm": (1, "weights and their totals must be finite",
                    ["experiment", "--config", "{huge_xm}", "--out", "{out}", "--threads", "1"]),
+    # xm**2 below the smallest normal double: a^2 and n E[W^2; W <= a] underflow to 0
+    "t2-tiny-xm": (2, "norming a_n",
+                   ["experiment", "--config", "{tiny_xm}", "--out", "{out}", "--threads", "1"]),
+    # xm**4 underflows, and with it the audit's pair_moment_small, which was written as 0.0
+    "audit-tiny-xm": (2, "xm**4",
+                      ["audit", "--config", "{tiny_xm_audit}", "--out", "{out}", "--threads", "1"]),
     "subnormal-xm": (1, "normal double",
                      ["sample", "--model", "pareto:alpha=1.5,xm=1e-320", "--n", "1000"]),
     # the largest of 10^5 draws, about 10^3.3 xm, overflows a double
@@ -871,7 +909,12 @@ class TestMalformedInput:
                                n_grid=[2, 100], replications=2)
         huge_xm = write_config(tmp_path / "t2.json", model={**PARETO, "xm": 1e210},
                                theorem="T2", n_grid=[20, 40], replications=100)
-        argv = [arg.format(no_root=no_root, huge_xm=huge_xm, out=tmp_path / "out") for arg in argv]
+        tiny_xm = write_config(tmp_path / "tiny.json", model={**PARETO, "xm": 1e-200},
+                               theorem="T2", n_grid=[20, 40], replications=100)
+        tiny_xm_audit = write_config(tmp_path / "tiny-audit.json", model={**PARETO, "xm": 1e-100},
+                                     theorem="AUDIT", n_grid=[20, 40], replications=2)
+        argv = [arg.format(no_root=no_root, huge_xm=huge_xm, tiny_xm=tiny_xm,
+                           tiny_xm_audit=tiny_xm_audit, out=tmp_path / "out") for arg in argv]
         proc = _run_python(["-W", "error::RuntimeWarning", "-m", "grg.cli", *argv])
         assert proc.returncode == expected, proc.stderr
         assert phrase in proc.stderr, proc.stderr

@@ -445,6 +445,12 @@ class TestPairMoments:
         with pytest.raises(UnsupportedModelError):
             audit_pair_moments(model, 100, 1.0)
 
+    @pytest.mark.parametrize("xm", [1e-78, 1e-100])
+    def test_tiny_xm_is_refused(self, xm):
+        """xm**4 is subnormal or 0 below xm = 1.22e-77; pair_moment_small was then off or 0.0."""
+        with pytest.raises(ArithmeticError, match=r"xm\*\*4 of .* smallest normal double"):
+            audit_pair_moments(ParetoWeights(1.5, xm), 100, 1.0)
+
     def test_mixture_law_stays_in_weights(self):
         """limits states no mixture sum of its own: it imports none of the mixture helpers."""
         tree = ast.parse(Path(grg.limits.__file__).read_text())

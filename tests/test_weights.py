@@ -459,6 +459,21 @@ class TestNorming:
                 out.append((a_n, audit_pair_moments(model, n, a_n)))
         assert hashlib.sha256(repr(out).encode()).hexdigest() == TAIL_NUMBERS_SHA256
 
+    @pytest.mark.parametrize("kind", [ParetoWeights, ParetoLogWeights])
+    def test_root_scales_with_xm(self, kind):
+        """a^2 = n E[W^2; W <= a] has no scale of its own, so a_n is xm times a_n at xm = 1,
+        down to the smallest xm whose square is a normal double."""
+        for xm in (1e-150, 1.5e-154, 1e150):
+            a_n = compute_norming(kind(1.5, xm), 100)
+            assert abs(a_n / (xm * compute_norming(kind(1.5, 1.0), 100)) - 1.0) <= 1e-13, xm
+
+    @pytest.mark.parametrize("xm", [1.49e-154, 1e-160, 1e-200, 1e-250])
+    def test_tiny_xm_is_refused(self, xm):
+        """Below that xm both sides underflow to 0 near the root: at xm = 1e-200 the bracket
+        walk stopped at 1.57e-162, where the root is 4.0e-199."""
+        with pytest.raises(ArithmeticError, match=r"norming a_n .* at n=100 underflows"):
+            compute_norming(ParetoWeights(1.5, xm), 100)
+
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             compute_norming(ParetoWeights(1.5, 1.0), 0)
