@@ -72,6 +72,8 @@ def _load_config(path: str, seed: int | None):
 def _cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     weights = sample_weights(model, args.n, args.seed)
+    if weights.sum_sq < sys.float_info.min:  # below it the squares lose digits or vanish
+        raise ParameterError(f"weights' sum of squares {weights.sum_sq!r} is not a normal double")
     if args.edges is None:  # no per-vertex output, so the vertices may be relabelled
         weights = descending_weights(weights)
     graph = sample_graph_fast(weights, args.seed + 1, store_edges=args.edges is not None)

@@ -21,12 +21,13 @@ each, all run by ``run_experiment``:
   sampled weight vectors, and two exact pair moments of the weight law;
   all of them must drift to zero as n grows.
 
-Each run is ``simulate`` (replications -> per-n table of named columns)
-followed by ``derive_result`` (table -> result), the only place that
-computes KS tests, deficits, medians and trends.  It gives one
-:class:`RunRecord` per n, whose ``row`` is that n's ``summary.json`` row,
-and the trends in ``ExperimentResult.trends``; ``grg report`` calls it on
-the columns that it reads back from a run's CSV.
+Each run is ``simulate`` (replications -> per-n table of named columns,
+with T2's and the audit's normings a_n computed before the first draw)
+followed by ``derive_result`` (table -> result), which reads a_n from the
+table and is the only place that computes KS tests, deficits, medians and
+trends.  It gives one :class:`RunRecord` per n, whose ``row`` is that n's
+``summary.json`` row, and the trends in ``ExperimentResult.trends``;
+``grg report`` calls it on the columns that it reads back from a run's CSV.
 
 Replications are independent tasks seeded by ``derive_seed`` from the
 master seed and reduced in replication order, so results are identical
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -65,7 +66,6 @@ __all__ = [
     "run_experiment",
     "simulate",
     "derive_result",
-    "replicate_edges",
     "replication_weights",
     "audit_pair_moments",
     "proof_audit",
@@ -156,15 +156,15 @@ def replication_weights(model: WeightModel, n: int, master_seed: int, rep: int) 
 
 
 def _edge_stats_one(args):
-    """Edge count (-1 with no graph), L_n and maybe E[E_n | W] of one replication."""
-    model, n, with_graph, master_seed, rep, with_mean = args
-    wv = replication_weights(model, n, master_seed, rep)
+    """One replication's row: edge count (-1 with no graph), L_n and, for T2, E[E_n | W], a_n."""
+    config, n, rep, with_graph, a_n = args
+    wv = replication_weights(config.model, n, config.master_seed, rep)
     edge_count = -1
     if with_graph:
-        edge_count = sample_graph_fast(wv, derive_seed(master_seed, 2 * rep + 1)).edge_count
-    if with_mean:
-        return edge_count, wv.sum_l, conditional_edge_mean(wv)
-    return edge_count, wv.sum_l
+        edge_count = sample_graph_fast(wv, derive_seed(config.master_seed, 2 * rep + 1)).edge_count
+    if config.theorem == "T2":
+        return [(edge_count, wv.sum_l, conditional_edge_mean(wv), a_n)]
+    return [(edge_count, wv.sum_l)]
 
 
 def _map_ordered(fn, args_list, threads: int):
@@ -180,22 +180,6 @@ def _map_ordered(fn, args_list, threads: int):
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
-def replicate_edges(config: ExperimentConfig, n: int, threads: int, with_graph: bool) -> dict:
-    """Per-replication columns: ``edge_count``, ``L_n`` and, for T2 only,
-    ``cond_mean``, E[E_n | W].
-
-    Without ``with_graph`` only the weights are drawn, from the run's own
-    seeds, and every edge count is -1.
-    """
-    with_mean = config.theorem == "T2"
-    args = [
-        (config.model, n, with_graph, config.master_seed, rep, with_mean)
-        for rep in range(config.replications)
-    ]
-    columns = zip(*_map_ordered(_edge_stats_one, args, threads))
-    return {name: np.array(c) for name, c in zip(("edge_count", "L_n", "cond_mean"), columns)}
-
-
 @dataclass(eq=False)
 class RunRecord:
     """One n of a run: its ``summary.json`` row and what the row came from.
@@ -209,11 +193,13 @@ class RunRecord:
     * ``edge_count`` -- E_n;
     * ``L_n`` -- the weight sum;
     * ``cond_mean`` -- E[E_n | W], T2 only;
+    * ``a_n`` -- the norming, which :func:`simulate` computes, T2 only;
     * ``weight_statistic`` -- (L_n - n EW) / a_n, T2 only;
     * ``deficit`` -- (L_n - 2 E[E_n | W]) / a_n, T2 only.
 
     The audit has one entry per replication and t, replication-major, in
-    ``t``, ``c_n``, ``a_n`` and each of ``AUDIT_TERM_NAMES``.
+    ``t``, ``c_n``, ``a_n`` and each of ``AUDIT_TERM_NAMES``; no record
+    computes its a_n, :func:`derive_result` reads it from the table.
     """
 
     n: int
@@ -235,7 +221,7 @@ def _gaussian_run(config, n, columns) -> RunRecord:
 
 def _stable_run(config, n, columns) -> RunRecord:
     ew = analytic_moments(config.model).ew
-    a_n = compute_norming(config.model, n)
+    a_n = columns["a_n"][0].item()
     wstat = (columns["L_n"] - n * ew) / a_n
     estat = stable_limit_statistic(columns["edge_count"], n, ew, a_n)
     deficit = (columns["L_n"] - 2.0 * columns["cond_mean"]) / a_n
@@ -317,9 +303,9 @@ def audit_pair_moments(model: WeightModel, n: int, a_n: float) -> tuple[float, f
 
 
 def _audit_one(args):
-    model, n, master_seed, rep, t_values, c_n, a_n = args
-    wv = sample_weights(model, n, derive_seed(master_seed, rep))
-    return [proof_audit(wv, t, c_n, a_n) for t in t_values]
+    config, n, rep, _, a_n = args
+    wv = sample_weights(config.model, n, derive_seed(config.master_seed, rep))
+    return [astuple(proof_audit(wv, t, 0.5 * a_n, a_n))[1:] for t in config.t_values]
 
 
 def _audit_point(config, n, columns) -> RunRecord:
@@ -384,23 +370,24 @@ def _check_hypothesis(config: ExperimentConfig) -> None:
         raise HypothesisError("the edge-density law needs a finite mean")
 
 
-def simulate(config: ExperimentConfig, threads: int = 1) -> list[dict]:
+def simulate(config: ExperimentConfig, threads: int = 1, with_graph: bool = True) -> list[dict]:
     """Simulate -> table: one dict of named per-replication columns per n.
 
-    T1, T2 and LLN give the columns of :func:`replicate_edges`; the audit
-    gives one entry per replication and t, replication-major, in each of
-    ``AUDIT_COLUMNS``.
+    T1 and LLN give ``edge_count`` and ``L_n``, T2 also ``cond_mean`` and ``a_n``, and the
+    audit ``AUDIT_COLUMNS``, one entry per replication and t, replication-major.  T2 and the
+    audit compute every n's norming a_n before the first draw.  Without ``with_graph`` only
+    the weights are drawn, and every edge count is -1.
     """
     _check_hypothesis(config)
-    if config.theorem != "AUDIT":
-        return [replicate_edges(config, int(n), threads, True) for n in config.n_grid]
+    normings = {n: compute_norming(config.model, n) for n in map(int, config.n_grid)
+                if config.theorem in ("T2", "AUDIT")}
+    task, names = ((_audit_one, AUDIT_COLUMNS) if config.theorem == "AUDIT" else
+                   (_edge_stats_one, ("edge_count", "L_n", "cond_mean", "a_n")))
     table = []
     for n in map(int, config.n_grid):
-        a_n = compute_norming(config.model, n)
-        args = [(config.model, n, config.master_seed, rep, config.t_values, 0.5 * a_n, a_n)
-                for rep in range(config.replications)]
-        terms = [term for chunk in _map_ordered(_audit_one, args, threads) for term in chunk]
-        table.append({name: np.array([getattr(x, name) for x in terms]) for name in AUDIT_COLUMNS})
+        args = [(config, n, rep, with_graph, normings.get(n)) for rep in range(config.replications)]
+        rows = [row for chunk in _map_ordered(task, args, threads) for row in chunk]
+        table.append({name: np.array(column) for name, column in zip(names, zip(*rows))})
     return table
 
 

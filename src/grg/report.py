@@ -30,8 +30,8 @@ from .limits import (
     ExperimentConfig,
     ExperimentResult,
     derive_result,
-    replicate_edges,
     replication_weights,
+    simulate,
 )
 from .weights import compute_norming, model_from_config, model_to_config
 
@@ -74,7 +74,7 @@ def _number(value, field: str, integral: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             integral and value != int(value)):
         what = "integral" if integral else "a number"
-        raise ConfigError(f"config field {field!r} must be {what}, got {value!r}")
+        raise ConfigError(f"field {field!r} must be {what}, got {value!r}")
     return int(value) if integral else float(value)
 
 
@@ -305,19 +305,22 @@ def _read_table(run_dir: Path, config: ExperimentConfig, threads: int) -> list[d
         columns = {name: np.array(values) for name, values in zip(names, list(zip(*block))[2:])}
         if "edge_count" in columns and columns["edge_count"].max() > n * (n - 1) // 2:
             raise ConfigError(f"{csv_name} has an edge count above n(n-1)/2 at n={n}")
+        table.append(columns)
+    # the rows of every n are checked before the T2 re-draw, the one costly step
+    redrawn = simulate(config, threads, with_graph=False) if config.theorem == "T2" else None
+    for k, (n, columns) in enumerate(zip(config.n_grid, table)):
         if config.theorem == "AUDIT":
             a_n = compute_norming(config.model, n)
-            fixed = {"t": np.tile(config.t_values, reps), "c_n": [0.5 * a_n] * len(block),
-                     "a_n": [a_n] * len(block)}
+            fixed = {"t": np.tile(config.t_values, reps), "c_n": [0.5 * a_n] * reps * per_rep,
+                     "a_n": [a_n] * reps * per_rep}
         elif config.theorem == "T2":
-            redrawn = replicate_edges(config, n, threads, False)
-            fixed, columns["cond_mean"] = {"L_n": redrawn["L_n"]}, redrawn["cond_mean"]
+            fixed = {"L_n": redrawn[k]["L_n"]}
+            columns.update(cond_mean=redrawn[k]["cond_mean"], a_n=redrawn[k]["a_n"])
         else:  # replication 0 alone ties the table to the manifest's seed
             fixed = {"L_n": [replication_weights(config.model, n, config.master_seed, 0).sum_l]}
         for name, values in fixed.items():
             if not np.array_equal(values, columns[name][: len(values)]):
                 raise ConfigError(f"{csv_name} {name} at n={n} differs from the manifest's config")
-        table.append(columns)
     return table
 
 
@@ -327,17 +330,18 @@ def read_run(run_dir, threads: int = 1):
     Samples no graph and evaluates no audit term.  The table's n and
     replication of each row (one row per t for the audit), its edge counts
     (at most n(n-1)/2), the audit's t, c_n and a_n, and L_n must match the
-    config: T2 re-draws every replication's weights, also for the
+    config: T2 re-draws every replication's weights, also for a_n and the
     conditional edge means, and T1 and LLN those of replication 0.  Every
     column that the result derives again, such as the statistic, must
     equal the table's.  ConfigError unless the directory is a complete run
-    whose manifest holds a finite experiment time >= 0.
+    whose manifest holds an experiment time that is a finite number >= 0.
     """
     run_dir = Path(run_dir)
     manifest = read_json(run_dir / "manifest.json", "manifest.json")
     try:
-        raw, elapsed = manifest["config"], float(manifest["wall_clock_seconds"]["experiment"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        raw = manifest["config"]
+        elapsed = _number(manifest["wall_clock_seconds"]["experiment"], "experiment")
+    except (KeyError, TypeError, OverflowError):
         raise ConfigError("manifest.json lacks the config or the experiment time") from None
     if not 0.0 <= elapsed < math.inf:
         raise ConfigError(f"manifest.json's experiment time must be finite and >= 0, got {elapsed}")

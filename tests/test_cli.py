@@ -590,6 +590,9 @@ MALFORMED_RUNS = {
     "manifest-time-nan": ("T1", "manifest.json", experiment_time("NaN")),
     "manifest-time-infinite": ("T1", "manifest.json", experiment_time("1e400")),
     "manifest-time-negative": ("T1", "manifest.json", experiment_time("-0.5")),
+    # a string or a bool was read as a number: "0.25" as 0.25 and true as 1.0
+    "manifest-time-string": ("T1", "manifest.json", experiment_time('"0.25"')),
+    "manifest-time-bool": ("T1", "manifest.json", experiment_time("true")),
 }
 
 
@@ -638,6 +641,20 @@ class TestReportCommand:
         code, err, written = report_on_copy(run, name, data)
         assert code == 1, err
         assert err.startswith("config error:") and "Traceback" not in err
+        assert written == {}
+
+    def test_t2_table_is_checked_before_the_redraw(self, finished_runs, monkeypatch):
+        """Rows out of order at the last n are refused before any n's weights are drawn again."""
+
+        def redrawn(*args, **kwargs):
+            raise AssertionError("grg report re-drew the weights of a malformed table")
+
+        monkeypatch.setattr(grg.limits, "sample_weights", redrawn)
+        lines = (finished_runs["T2"] / "result.csv").read_text().split("\n")
+        lines[-3], lines[-2] = lines[-2], lines[-3]  # the last two replications at n = 150
+        code, err, written = report_on_copy(finished_runs["T2"], "result.csv",
+                                            "\n".join(lines).encode())
+        assert code == 1 and "rows at n=150" in err, err
         assert written == {}
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -769,9 +786,12 @@ FRESH_PROCESS_FAILURES = {
                         ["lemma1", "--model", "paretolog:alpha=1.5,xm=1", "--x", "0.1"]),
     "lemma1-xm-alpha": (2, "xm**alpha",
                         ["lemma1", "--model", "pareto:alpha=1.5,xm=1e300", "--x", "1e301"]),
-    # the weights' squares overflow; T2 needs xm**alpha only for a_n, after the weights
-    "t2-huge-xm": (1, "weights and their totals must be finite",
+    # xm**alpha overflows; T2, like the audit, needs it for a_n before any weights are drawn
+    "t2-huge-xm": (2, "xm**alpha",
                    ["experiment", "--config", "{huge_xm}", "--out", "{out}", "--threads", "1"]),
+    # a^2 = n E[W^2; W <= a] has no root at n = 2; T2 finds it before the first draw
+    "t2-no-norming-root": (2, "has no root", ["experiment", "--config", "{no_root_t2}", "--out",
+                                              "{out}", "--threads", "1"]),
     # xm**2 below the smallest normal double: a^2 and n E[W^2; W <= a] underflow to 0
     "t2-tiny-xm": (2, "norming a_n",
                    ["experiment", "--config", "{tiny_xm}", "--out", "{out}", "--threads", "1"]),
@@ -780,6 +800,13 @@ FRESH_PROCESS_FAILURES = {
                       ["audit", "--config", "{tiny_xm_audit}", "--out", "{out}", "--threads", "1"]),
     "subnormal-xm": (1, "normal double",
                      ["sample", "--model", "pareto:alpha=1.5,xm=1e-320", "--n", "1000"]),
+    # a sum of squares below the smallest normal double is 0.0 or has lost digits
+    "sum-sq-underflow": (1, "not a normal double",
+                         ["sample", "--model", "exponential:rate=1e200", "--n", "100"]),
+    "sum-sq-subnormal-pareto": (1, "not a normal double",
+                                ["sample", "--model", "pareto:alpha=1.5,xm=1e-160", "--n", "1000"]),
+    "sum-sq-subnormal-constant": (1, "not a normal double",
+                                  ["sample", "--model", "constant:lam=1e-160", "--n", "1000"]),
     # the largest of 10^5 draws, about 10^3.3 xm, overflows a double
     "pareto-draw-overflow": (1, "must be finite",
                              ["sample", "--model", "pareto:alpha=1.5,xm=1e307", "--n", "100000"]),
@@ -907,13 +934,15 @@ class TestMalformedInput:
         expected, phrase, argv = FRESH_PROCESS_FAILURES[case]
         no_root = write_config(tmp_path / "c.json", model=PARETO, theorem="AUDIT",
                                n_grid=[2, 100], replications=2)
+        no_root_t2 = write_config(tmp_path / "t2-root.json", model=PARETO, theorem="T2",
+                                  n_grid=[2, 100], replications=100)
         huge_xm = write_config(tmp_path / "t2.json", model={**PARETO, "xm": 1e210},
                                theorem="T2", n_grid=[20, 40], replications=100)
         tiny_xm = write_config(tmp_path / "tiny.json", model={**PARETO, "xm": 1e-200},
                                theorem="T2", n_grid=[20, 40], replications=100)
         tiny_xm_audit = write_config(tmp_path / "tiny-audit.json", model={**PARETO, "xm": 1e-100},
                                      theorem="AUDIT", n_grid=[20, 40], replications=2)
-        argv = [arg.format(no_root=no_root, huge_xm=huge_xm, tiny_xm=tiny_xm,
+        argv = [arg.format(no_root=no_root, no_root_t2=no_root_t2, huge_xm=huge_xm, tiny_xm=tiny_xm,
                            tiny_xm_audit=tiny_xm_audit, out=tmp_path / "out") for arg in argv]
         proc = _run_python(["-W", "error::RuntimeWarning", "-m", "grg.cli", *argv])
         assert proc.returncode == expected, proc.stderr

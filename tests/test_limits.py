@@ -11,6 +11,7 @@ from scipy import integrate, stats
 import grg.graph
 import grg.limits
 from grg import (
+    BracketingError,
     ConfigError,
     ConstantWeights,
     DomainError,
@@ -35,7 +36,7 @@ from grg import (
     sample_weights,
     stable_limit_statistic,
 )
-from grg.limits import audit_pair_moments
+from grg.limits import audit_pair_moments, derive_result, simulate
 from grg.report import config_from_dict
 from grg.weights import truncated_first_moment_tail, truncated_second_moment
 
@@ -459,6 +460,35 @@ class TestPairMoments:
                     for alias in node.names}
         assert imported and not imported & {"_log_gamma_mixture", "_exp_gamma_below",
                                             "_gamma_upper"}, imported
+
+
+class TestNormings:
+    """``simulate`` computes every n's a_n before the first draw; ``derive_result`` reads it."""
+
+    def test_missing_root_is_refused_before_any_draw(self, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("a draw came before the normings")
+
+        monkeypatch.setattr(grg.limits, "sample_weights", drawn)
+        monkeypatch.setattr(grg.limits, "sample_graph_fast", drawn)
+        cfg = ExperimentConfig(ParetoWeights(1.5, 1.0), (2, 5000), 100, 8, "T2")
+        with pytest.raises(BracketingError, match="n=2"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(ParetoWeights(1.5, 1.0), (100, 400), 100, 90, "T2"),
+        ExperimentConfig(ParetoWeights(1.5, 1.0), (100, 1000), 3, 555, "AUDIT", (0.5, 1.0)),
+    ], ids=["T2", "AUDIT"])
+    def test_derive_result_computes_no_norming(self, monkeypatch, cfg):
+        expected = [run.row for run in run_experiment(cfg).runs]
+        table = simulate(cfg)
+
+        def solved(*args, **kwargs):
+            raise AssertionError("derive_result computed a norming")
+
+        monkeypatch.setattr(grg.limits, "compute_norming", solved)
+        assert [run.row for run in derive_result(cfg, table).runs] == expected
+
 
 class TestDispatch:
     def test_run_experiment_routes(self):
