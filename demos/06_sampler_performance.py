@@ -11,13 +11,18 @@ Each row also times the weight draw (``sample_weights``, exact totals
 included) beside the graph, so the two layers of ``grg sample`` show
 separately, and the tracemalloc peak of the graph sampler per vertex,
 the weights it is given included (a second, traced call): 8 bytes of
-weights, 16 of sorted weights, vertex order and degree tally, and one
-candidate pass of a few MB, which dominates at small n.  The last two
-columns time and trace the same graph drawn from the weights in
-descending order, as ``grg sample`` draws it: no sorted copy and no
-vertex order, so 8 bytes of weights and the int32 tally, which is the
-degrees.  Last, the peak RSS of one ``grg sample`` process for
-ParetoLog(1.5) at n = 10^6, read with ``os.wait4`` when it exits.
+weights, 16 of sorted weights, vertex order and degree tally, and the
+keys of one candidate pass, under 1 MB with one sub-block of 2^14 keys
+decoded from them, which dominate at small n.  The last two columns time
+and trace the same graph drawn from the weights in descending order, as
+``grg sample`` draws it: no sorted copy and no vertex order, so 8 bytes
+of weights and the int32 tally, which is the degrees (14.0 bytes per
+vertex in all at n = 10^6 for ParetoLog(1.5), against 16.3 when each
+pass was decoded and thinned at once).  Last,
+the peak RSS of one ``grg sample`` process for ParetoLog(1.5) at
+n = 10^6, read with ``os.wait4`` when it exits: about 49.5 MB on a
+2-core Linux machine with Python 3.11 and numpy 2.4, which sorts its own
+draw in place rather than copying it.
 """
 
 import os

@@ -56,10 +56,13 @@ _PAIR_SERIES = np.array([
 # Pairs above the series cut are evaluated exactly, this many at a time.
 _PAIR_BLOCK = 1 << 22
 
-# The fast sampler draws and thins about this many candidate pairs per numpy
-# pass, whole segments of at most _CHUNK/2 expected draws each, so a pass can
-# hold up to about 1.5 times as many; a pass needs about 5 MB at 2^16.
+# The fast sampler draws about this many candidate pairs per numpy pass, whole
+# segments of at most _CHUNK/2 expected draws each, so a pass can hold up to
+# about 1.5 times as many: their int64 keys, about 0.8 MB at 2^16.  It decodes
+# and thins a pass _THIN_BLOCK keys at a time, so no other pass-sized array is
+# held while it thins.
 _CHUNK = 1 << 16
+_THIN_BLOCK = 1 << 14
 
 # write_edge_list formats this many lines per write.
 _WRITE_BLOCK = 1 << 16
@@ -99,13 +102,18 @@ def sample_graph_fast(
 
     Every pair is a candidate independently with probability q, the
     envelope of its block, and a candidate is an edge with probability
-    p/q (see the module docstring).  Candidates are drawn and thinned
-    about ``_CHUNK`` at a time; ``candidates_examined`` counts them.
-    The degrees are the tally, int32 (int64 from 2^31 vertices).  Besides the 8 bytes
-    per vertex of the weights, it holds that tally, a candidate pass and, for weights
-    not in descending order, their sorted copy and int32 vertex order: with the
-    weights, a tracemalloc peak of 16.2 bytes per vertex on descending ParetoLog(1.5)
-    weights at n = 1e6 and 13.4 at 4e6, 28.2 and 25.4 unsorted.
+    p/q (see the module docstring).  Candidates are drawn about ``_CHUNK``
+    at a time and thinned ``_THIN_BLOCK`` at a time, with the uniforms of
+    each sub-block drawn as they are needed; ``candidates_examined`` counts
+    them.  The degrees are the tally, int32 (int64 from 2^31 vertices).
+    Besides the 8 bytes per vertex of the weights, it holds that tally, the
+    int64 keys of one candidate pass with one sub-block decoded from them
+    and, for weights not in descending order, their sorted copy and int32
+    vertex order: with the weights, a tracemalloc peak of 14.7 bytes per
+    vertex on descending ParetoLog(1.5) weights at n = 1e6 and 13.1 at 4e6,
+    26.7 and 25.1 unsorted, each in a fresh process.  No pass-sized
+    temporary is freed, so glibc does not trim the heap top after every
+    pass and fault it back in (see ``descending_weights``).
     """
     n = weights.n
     if n < 2:
@@ -125,17 +133,19 @@ def sample_graph_fast(
         p = v[i]
         p *= v[j]
         p /= p + l_n
-        hit = rng.random(len(i)) * q < p
+        u = rng.random(len(i))  # a pass's uniforms, drawn a sub-block at a time
+        u *= q
+        hit = u < p
         i, j = i[hit], j[hit]
         candidates += len(hit)
         edge_count += len(i)
-        # O(hits), not O(n), per chunk; adding a Python 1 to int32 is 30 times slower
+        # O(hits), not O(n), per sub-block; adding a Python 1 to int32 is 30 times slower
         np.add.at(tally, i, itype(1))
         np.add.at(tally, j, itype(1))
         if pieces is not None:
             i, j = (i, j) if order is None else (order[i], order[j])
             pieces.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
-        del p, q, i, j, hit  # not held while the next chunk is drawn
+        del p, q, u, i, j, hit  # not held while the next sub-block is decoded
     del v
     degrees = tally
     if order is not None:  # back to the caller's labels, once the sorted copy is released
@@ -154,12 +164,30 @@ def descending_weights(weights: WeightVector) -> WeightVector:
     """The weights in descending order, which ``sample_graph_fast`` thins with no permutation.
 
     It draws the same graph as from ``weights``, relabelled in that order; up to n = 11,
-    where it does not sort, ``weights`` come back as they are.  The copy is a new array:
-    sorting ``weights`` in place more than doubled the page faults of ``grg sample``.
+    where it does not sort, ``weights`` come back as they are.  The copy is a new array, so
+    ``weights`` keep their order.  `grg sample` owns its draw and sorts it in place
+    (``_descending``), which saves 8 bytes per vertex.  Then no weight array is freed, so
+    glibc keeps its default mmap and trim thresholds; that costs no page faults only because
+    a pass is thinned in sub-blocks and frees no temporary large enough to trim the heap
+    top.  Decoded at once, the passes took the command from 9k to 52k minor faults at
+    n = 1e6; in sub-blocks it takes 7.7k.
+    """
+    return _descending(weights, in_place=False)
+
+
+def _descending(weights: WeightVector, in_place: bool) -> WeightVector:
+    """``weights`` as a descending view of their sorted values; ``weights`` as they are to n = 11.
+
+    With ``in_place`` the values of ``weights`` are sorted where they are, ascending.
     """
     if weights.n <= _ALL_PAIRS_MAX_N:
         return weights
-    return WeightVector(np.sort(weights.values)[::-1], weights.sum_l, weights.sum_sq)
+    values = weights.values
+    if in_place:
+        values.sort()
+    else:
+        values = np.sort(values)
+    return WeightVector(values[::-1], weights.sum_l, weights.sum_sq)
 
 
 def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
@@ -168,9 +196,11 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
     Each block's flat positions (row-major for a product, the pairs
     (c, c + r + 1 mod s) for a triangle of size s) are cut into
     segments of about ``_CHUNK/2`` expected draws, and whole segments
-    go to one chunk, so no position is drawn in two chunks.  The numpy
-    calls per graph grow with the number of chunks, never with the
-    number of buckets.
+    go to one chunk, so no position is drawn in two chunks.  A chunk's
+    keys are drawn in one call and sorted; then they are deduplicated,
+    decoded and yielded ``_THIN_BLOCK`` at a time, a key equal to the last
+    of the previous sub-block dropped too.  The numpy calls per graph grow
+    with the number of sub-blocks, never with the number of buckets.
     """
     n = len(v)
     # bucket k starts after the weights above v[0] * 2^(-k/4)
@@ -201,6 +231,7 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
 
     # whole segments per chunk, so no position is drawn in two chunks
     cuts = np.searchsorted(slot, np.arange(0, int(count.sum()), _CHUNK)).tolist()
+    ends = slot + count
     for s0, s1 in zip(cuts, cuts[1:] + [len(count)]):
         seg = np.repeat(np.arange(s0, s1), count[s0:s1])
         if len(seg) == 0:
@@ -209,24 +240,37 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
         d = np.flatnonzero(seg_dense[seg])  # an enumerated segment's keys are its slots
         key[d] = d + slot[s0] - slot[seg[d]]
         key += start[seg]
+        del d
         # segments hold disjoint increasing key ranges, so the sort keeps
         # every key beside its segment
         key.sort()
-        new = np.concatenate(([True], key[1:] != key[:-1]))
-        k = block[seg[new]]
-        del seg
-        key = key[new] - base[k]
-        w, tri = width[k], diag[k]
-        # rectangle: row r, column c; triangle: the pair (c + r + 1 mod w, c),
-        # where c + r + 1 < 2w, as its rows and columns start together
-        r, c = np.divmod(key, w)
-        np.add(r, c + 1, out=r, where=tri)
-        np.subtract(r, w, out=r, where=tri & (r >= w))
-        del key, w, tri  # not held while the caller thins the chunk
-        r += row0[k]
-        c += col0[k]
-        yield r, c, q[k]
-        del k, r, c  # nor while the next chunk is drawn
+        split = len(key) > _THIN_BLOCK  # a one-sub-block chunk keeps its segment index
+        if split:  # each sub-block rebuilds its own, so only the keys span the chunk
+            del seg
+        for lo in range(0, len(key), _THIN_BLOCK):
+            sub = key[lo : lo + _THIN_BLOCK]
+            if split:  # the segments of slots g0..g1-1, each repeated for its slots there
+                g0, g1 = slot[s0] + lo, slot[s0] + lo + len(sub)
+                a = s0 + int(np.searchsorted(ends[s0:s1], g0, side="right"))
+                b = s0 + int(np.searchsorted(slot[s0:s1], g1))
+                seg = np.repeat(np.arange(a, b),
+                                np.minimum(ends[a:b], g1) - np.maximum(slot[a:b], g0))
+            new = np.concatenate(([lo == 0 or sub[0] != key[lo - 1]], sub[1:] != sub[:-1]))
+            k = block[seg[new]]
+            r = sub[new]
+            r -= base[k]
+            w, tri = width[k], diag[k]
+            # rectangle: row r, column c; triangle: the pair (c + r + 1 mod w, c),
+            # where c + r + 1 < 2w, as its rows and columns start together
+            r, c = np.divmod(r, w)
+            np.add(r, c + 1, out=r, where=tri)
+            np.subtract(r, w, out=r, where=tri & (r >= w))
+            del sub, seg, new, w, tri  # not held while the caller thins the sub-block
+            r += row0[k]
+            c += col0[k]
+            yield r, c, q[k]
+            del k, r, c  # nor while the next sub-block is decoded
+        del key  # nor while the next chunk is drawn
 
 
 def pair_sums(weights: WeightVector) -> tuple[float, float, float]:

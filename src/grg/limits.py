@@ -44,7 +44,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, HypothesisError
-from .graph import conditional_edge_mean, pair_sums, sample_graph_fast
+from .graph import conditional_edge_mean, descending_weights, pair_sums, sample_graph_fast
 from .seeding import derive_seed
 from .stats import KsResult, ks_one_sample, ks_two_sample, median, normal_cdf
 from .weights import (
@@ -161,7 +161,9 @@ def _edge_stats_one(args):
     wv = replication_weights(config.model, n, config.master_seed, rep)
     edge_count = -1
     if with_graph:
-        edge_count = sample_graph_fast(wv, derive_seed(config.master_seed, 2 * rep + 1)).edge_count
+        # the same graph relabelled, with no argsort or unsort of the degrees
+        seed = derive_seed(config.master_seed, 2 * rep + 1)
+        edge_count = sample_graph_fast(descending_weights(wv), seed).edge_count
     if config.theorem == "T2":
         return [(edge_count, wv.sum_l, conditional_edge_mean(wv), a_n)]
     return [(edge_count, wv.sum_l)]

@@ -248,7 +248,11 @@ class LemmaRatios(NamedTuple):
 
 
 def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
-    """Draw n i.i.d. weights; identical (model, n, seed) give identical output."""
+    """Draw n i.i.d. weights; identical (model, n, seed) give identical output.
+
+    The values are positive and finite, ``sum_l`` is finite and ``sum_sq`` is a normal
+    double; a draw that cannot meet that raises ``ParameterError``.
+    """
     if n < 2:
         raise ParameterError(f"need at least 2 vertices, got n={n}")
     if n > MAX_N:
@@ -291,7 +295,10 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
             values *= model.xm
     else:
         raise UnsupportedModelError(f"unknown weight model {model!r}")
-    return WeightVector.from_values(values)
+    weights = WeightVector.from_values(values)
+    if weights.sum_sq < sys.float_info.min:  # below it the squares lose digits or vanish
+        raise ParameterError(f"weights' sum of squares {weights.sum_sq!r} is not a normal double")
+    return weights
 
 
 def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:

@@ -807,6 +807,11 @@ FRESH_PROCESS_FAILURES = {
                                 ["sample", "--model", "pareto:alpha=1.5,xm=1e-160", "--n", "1000"]),
     "sum-sq-subnormal-constant": (1, "not a normal double",
                                   ["sample", "--model", "constant:lam=1e-160", "--n", "1000"]),
+    # sample_weights refuses such a draw for every command, not only for grg sample
+    "lln-sum-sq-underflow": (1, "not a normal double", ["experiment", "--config", "{tiny_lln}",
+                                                        "--out", "{out}", "--threads", "1"]),
+    "t1-sum-sq-underflow": (1, "not a normal double", ["experiment", "--config", "{tiny_t1}",
+                                                       "--out", "{out}", "--threads", "1"]),
     # the largest of 10^5 draws, about 10^3.3 xm, overflows a double
     "pareto-draw-overflow": (1, "must be finite",
                              ["sample", "--model", "pareto:alpha=1.5,xm=1e307", "--n", "100000"]),
@@ -942,8 +947,12 @@ class TestMalformedInput:
                                theorem="T2", n_grid=[20, 40], replications=100)
         tiny_xm_audit = write_config(tmp_path / "tiny-audit.json", model={**PARETO, "xm": 1e-100},
                                      theorem="AUDIT", n_grid=[20, 40], replications=2)
+        tiny = {theorem: write_config(tmp_path / f"tiny-{theorem}.json", theorem=theorem,
+                                      model={"kind": "exponential", "rate": 1e250})
+                for theorem in ("LLN", "T1")}
         argv = [arg.format(no_root=no_root, no_root_t2=no_root_t2, huge_xm=huge_xm, tiny_xm=tiny_xm,
-                           tiny_xm_audit=tiny_xm_audit, out=tmp_path / "out") for arg in argv]
+                           tiny_xm_audit=tiny_xm_audit, tiny_lln=tiny["LLN"], tiny_t1=tiny["T1"],
+                           out=tmp_path / "out") for arg in argv]
         proc = _run_python(["-W", "error::RuntimeWarning", "-m", "grg.cli", *argv])
         assert proc.returncode == expected, proc.stderr
         assert phrase in proc.stderr, proc.stderr

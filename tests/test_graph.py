@@ -423,6 +423,16 @@ class TestDescendingWeights:
         assert h.edge_count > 0
         assert np.array_equal(h.degrees, g.degrees)
 
+    def test_the_copy_is_a_new_array(self):
+        """The caller's weights keep their order; only `grg sample`, which owns its draw,
+        sorts in place."""
+        wv = sample_weights(ParetoWeights(1.5, 1.0), 1000, seed=3)
+        drawn = wv.values.copy()
+        desc = descending_weights(wv)
+        assert not np.shares_memory(desc.values, wv.values)
+        assert np.array_equal(wv.values, drawn)
+        assert np.array_equal(desc.values, np.sort(drawn)[::-1])
+
     def test_up_to_eleven_vertices_are_not_sorted(self):
         """Up to n = 11 the sampler takes every pair in label order, so nothing is relabelled."""
         wv = WeightVector.from_values([1.0, 3.0, 2.0, 5.0])
@@ -463,18 +473,58 @@ def traced_peaks(n):
     return weights_peak, sampler_peak, g
 
 
+class TestSubBlocks:
+    """A candidate pass is decoded and thinned in sub-blocks on one random stream."""
+
+    @pytest.mark.parametrize("split", [1, 777, 8192, 50_000])
+    def test_split_draws_equal_one_draw(self, split):
+        """Split `rng.random` and array-bound `rng.integers` calls give the numbers and the
+        generator state of one call, with bounds below and above 2^32.
+
+        The sampler draws a pass's keys in one call and its uniforms a sub-block at a
+        time; a numpy whose split draws differ would change every graph, and fails here.
+        """
+        bounds = np.random.default_rng(5).integers(1, 1 << 20, size=100_000)
+        bounds[::3] = np.random.default_rng(6).integers(1 << 33, 1 << 50, size=len(bounds[::3]))
+        for draw in (lambda rng, b: rng.random(len(b)), lambda rng, b: rng.integers(b)):
+            one, two = np.random.default_rng(77), np.random.default_rng(77)
+            whole = draw(one, bounds)
+            parts = np.concatenate([draw(two, bounds[:split]), draw(two, bounds[split:])])
+            assert np.array_equal(whole, parts)
+            assert one.bit_generator.state == two.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_sub_block_size_leaves_the_graph(self, block, monkeypatch):
+        """Sub-blocks of 1, 7 and 300 keys give the graph of one sub-block per pass.
+
+        Passes of 2^10 draws cut the candidates into many passes, and duplicate keys
+        meet across sub-block boundaries, where only the first is kept.
+        """
+        monkeypatch.setattr(grg.graph, "_CHUNK", 1 << 10)
+        wv = sample_weights(ParetoLogWeights(1.5, 1.0), 2000, seed=21)
+        got = {}
+        for size in (1 << 30, block):
+            monkeypatch.setattr(grg.graph, "_THIN_BLOCK", size)
+            g = sample_graph_fast(wv, 22, store_edges=True)
+            got[size] = (g.edge_count, g.candidates_examined, g.degrees.tolist(),
+                         g.edges.tolist())
+        assert got[block] == got[1 << 30]
+        assert got[block][1] > 4 * (1 << 10)
+
+
 class TestMemoryAndStreams:
     def test_peak_memory_per_vertex(self):
         """One large graph holds at most 26.5 bytes per vertex, plus one candidate pass.
 
         Per vertex, the argsort of the weights holds them, their negation and
         the int64 order (24 bytes); thinning holds the weights, their sorted copy
-        and the int32 order and tally (24 bytes).  Measured: slopes of 23.3 (in a
-        fresh process) and 24.4 (after other tests), and intercepts of 71 and
-        58 * _CHUNK bytes.  The bounds are the worst of these plus a margin of
-        8-10%; the intercept moves by 3 * _CHUNK for each byte per vertex of
-        slope.  The weights themselves peak at 10 bytes per vertex (the values
-        and a positivity mask) plus the temporaries of one block of exact sums.
+        and the int32 order and tally (24 bytes).  Measured: slopes of 23.1 (in a
+        fresh process) and 24.2 (after other tests), and intercepts of 40 and
+        26 * _CHUNK bytes (71 and 58 when each pass was decoded at once).  The
+        bounds are the worst of these plus a margin of 8-10%; the intercept moves
+        by 3 * _CHUNK for each byte per vertex of slope.  The weights themselves
+        peak at 10 bytes per vertex (the values and a positivity mask) plus the
+        temporaries of one block of exact sums.
         The degrees are the tally, in the sampler's index type.
         """
         sizes = (200_000, 800_000)
@@ -482,19 +532,20 @@ class TestMemoryAndStreams:
         slope = (s1 - s0) / (sizes[1] - sizes[0])
         intercept = s0 - slope * sizes[0]
         assert slope <= 26.5, (slope, intercept)
-        assert intercept <= 78 * grg.graph._CHUNK, (slope, intercept)
+        assert intercept <= 44 * grg.graph._CHUNK, (slope, intercept)
         for n, w, g in zip(sizes, (w0, w1), (g0, g1)):
             assert w <= 10 * n + 64 * grg.weights._SUM_BLOCK, (n, w / n)
             assert g.degrees.dtype == np.int32
             assert int(g.degrees.sum()) == 2 * g.edge_count > n
 
     def test_descending_weights_peak(self):
-        """On descending weights the sampler holds at most 18.5 bytes per vertex, weights included.
+        """On descending weights the sampler holds at most 16.0 bytes per vertex, weights included.
 
         The weights (8), the int32 tally, which is the degrees (4), and one
-        candidate pass; a sorted copy and an int32 vertex order would add 12.
-        Measured at n = 10^6: 16.2 bytes per vertex (16.9 in a fresh process);
-        the bound leaves a margin of 9% over the worst.
+        pass of candidate keys with one sub-block decoded from it; a sorted copy
+        and an int32 vertex order would add 12.  Measured at n = 10^6: 14.0
+        bytes per vertex (14.6 in a fresh process; 16.2 and 16.9 when the whole
+        pass was decoded at once); the bound leaves a margin of 9% over the worst.
         """
         n = 10**6
         tracemalloc.start()
@@ -505,8 +556,28 @@ class TestMemoryAndStreams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 18.5 * n, peak / n
+        assert peak <= 16.0 * n, peak / n
         assert int(g.degrees.sum()) == 2 * g.edge_count > n
+
+    def test_grg_sample_peak(self, capsys):
+        """`grg sample` at n = 10^6 holds at most 15.5 bytes per vertex, in process.
+
+        It sorts its own draw in place, so it never holds two weight arrays, and
+        then holds the weights, the int32 tally and one pass of candidate keys.
+        Measured on ParetoLog(1.5), seed 4242: 14.0 bytes per vertex (14.7 in a
+        fresh process), against 16.3 (16.9) when it thinned a sorted copy and
+        decoded each pass at once; the bound leaves a margin of 5% over the worst.
+        """
+        n = 10**6
+        tracemalloc.start()
+        try:
+            assert cli_main(["sample", "--model", "paretolog:alpha=1.5,xm=1", "--n", str(n),
+                             "--seed", "4242"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["n"] == n
+        assert peak <= 15.5 * n, peak / n
 
     def test_paretolog_draw_peak(self):
         """ParetoLog weights peak at 11.8 bytes per vertex: one array, drawn and transformed in place.

@@ -161,11 +161,27 @@ class TestSampling:
 
     @pytest.mark.parametrize("cls", [ParetoWeights, ParetoLogWeights])
     def test_subnormal_xm_is_rejected(self, cls):
-        """Every draw is at least xm, so a normal xm keeps the draws off the subnormal grid."""
+        """Every draw is at least xm, so a normal xm keeps the draws off the subnormal grid.
+
+        At xm = 1e-150 the squares are normal too, and the draw comes back; at the
+        smallest normal xm they underflow, and ``sample_weights`` refuses the draw.
+        """
         with pytest.raises(ParameterError, match="normal double"):
             cls(1.5, 1e-320)
-        tiny = sys.float_info.min
-        assert sample_weights(cls(1.5, tiny), 100, seed=1).values.min() >= tiny
+        wv = sample_weights(cls(1.5, 1e-150), 100, seed=1)
+        assert wv.values.min() >= 1e-150 and wv.sum_sq >= sys.float_info.min
+        with pytest.raises(ParameterError, match="sum of squares 0.0 is not a normal double"):
+            sample_weights(cls(1.5, sys.float_info.min), 100, seed=1)
+
+    @pytest.mark.parametrize("model", [
+        ConstantWeights(1e-160), ExponentialWeights(1e250), LogNormalWeights(-400.0, 1.0),
+        GammaWeights(2.0, 1e-200), ParetoWeights(2.0, 2.3e-288), ParetoLogWeights(1.5, 7.4e-214),
+    ], ids=lambda m: type(m).__name__)
+    def test_sum_of_squares_below_the_normal_range_is_refused(self, model):
+        """A sum of squares below the smallest normal double is 0.0 or has lost digits
+        (Constant(1e-160) gives 9.99989e-318 for 1e-317), so the draw is refused."""
+        with pytest.raises(ParameterError, match="is not a normal double"):
+            sample_weights(model, 1000, seed=0)
 
     def test_overflowing_pareto_draw_is_rejected(self):
         """Pareto alpha=0.01 and Exponential rate=1e-308 overflow some draws to inf instead of
