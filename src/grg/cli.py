@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, GrgError, ParameterError
-from .graph import _descending, sample_graph_fast, write_edge_list
+from .graph import descending_weights, sample_graph_fast, write_edge_list
 from .weights import (LemmaRatios, lemma1_ratio_check, model_from_config, model_to_config,
                       sample_weights)
 
@@ -73,7 +73,7 @@ def _cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     weights = sample_weights(model, args.n, args.seed)
     if args.edges is None:  # no per-vertex output, so the vertices may be relabelled
-        weights = _descending(weights, in_place=True)  # the draw is ours, so no copy
+        weights = descending_weights(weights, in_place=True)  # the draw is ours, so no copy
     graph = sample_graph_fast(weights, args.seed + 1, store_edges=args.edges is not None)
     summary = {
         "model": model_to_config(model),

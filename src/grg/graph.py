@@ -160,25 +160,16 @@ def sample_graph_fast(
     )
 
 
-def descending_weights(weights: WeightVector) -> WeightVector:
+def descending_weights(weights: WeightVector, in_place: bool = False) -> WeightVector:
     """The weights in descending order, which ``sample_graph_fast`` thins with no permutation.
 
     It draws the same graph as from ``weights``, relabelled in that order; up to n = 11,
-    where it does not sort, ``weights`` come back as they are.  The copy is a new array, so
-    ``weights`` keep their order.  `grg sample` owns its draw and sorts it in place
-    (``_descending``), which saves 8 bytes per vertex.  Then no weight array is freed, so
-    glibc keeps its default mmap and trim thresholds; that costs no page faults only because
-    a pass is thinned in sub-blocks and frees no temporary large enough to trim the heap
-    top.  Decoded at once, the passes took the command from 9k to 52k minor faults at
-    n = 1e6; in sub-blocks it takes 7.7k.
-    """
-    return _descending(weights, in_place=False)
-
-
-def _descending(weights: WeightVector, in_place: bool) -> WeightVector:
-    """``weights`` as a descending view of their sorted values; ``weights`` as they are to n = 11.
-
-    With ``in_place`` the values of ``weights`` are sorted where they are, ascending.
+    where it does not sort, ``weights`` come back as they are.  By default the values are a
+    new array, so ``weights`` keep their order.  With ``in_place=True``, for a caller that
+    owns its draw, they are sorted where they are, ascending, and viewed reversed: 8 bytes
+    per vertex less.  No weight array is then freed, so glibc keeps its default mmap and
+    trim thresholds; that costs no page faults only because ``sample_graph_fast`` thins in
+    sub-blocks and frees no temporary large enough to trim the heap top.
     """
     if weights.n <= _ALL_PAIRS_MAX_N:
         return weights
@@ -207,8 +198,7 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
     first = np.append(0, n - np.searchsorted(v[::-1], v[0] * _LEVELS, side="right"))
     first = first[np.append(True, first[1:] != first[:-1]) & (first < n)]
     size = np.append(first[1:], n) - first
-    ar = np.arange(len(first))
-    a, b = np.nonzero(ar[:, None] <= ar)
+    a, b = np.triu_indices(len(first))  # the bucket pairs a <= b, row-major
     diag = a == b
     row0, col0, width = first[a], first[b], size[b]
     pairs = np.where(diag, width * (width - 1) // 2, size[a] * width)
@@ -244,8 +234,13 @@ def _bucket_candidates(v: np.ndarray, l_n: float, rng: np.random.Generator):
         # segments hold disjoint increasing key ranges, so the sort keeps
         # every key beside its segment
         key.sort()
-        split = len(key) > _THIN_BLOCK  # a one-sub-block chunk keeps its segment index
-        if split:  # each sub-block rebuilds its own, so only the keys span the chunk
+        # A one-sub-block chunk keeps its segment index; in a longer one each sub-block
+        # rebuilds its own, so only the keys span the chunk.  One-path decodes measured
+        # worse: rebuilding always (+8-12% per call at n = 200 and 5,000), a searchsorted
+        # block lookup (243 -> 269 ms on ParetoLog(1.5) at n = 1e6), the chunk's index kept
+        # (minor faults 7.8k -> 14.6k), and sub-blocks of whole segments (+1.3 MB RSS).
+        split = len(key) > _THIN_BLOCK
+        if split:
             del seg
         for lo in range(0, len(key), _THIN_BLOCK):
             sub = key[lo : lo + _THIN_BLOCK]
@@ -342,12 +337,14 @@ def conditional_edge_mean(weights: WeightVector) -> float:
     """E[E_n | W] = sum_{i<j} p_ij, exact to rounding, without an n x n array.
 
     Half the sum of p over the ordered pairs from :func:`pair_sums`, less
-    the diagonal terms d/(1+d), d = W_i^2 / L.
+    the diagonal terms d/(1+d), d = W_i^2 / L, kept in [0, n(n-1)/2]: where
+    every p rounds to 1, the difference can round past the pair count.
     """
     if weights.n < 2:
         raise ParameterError(f"need at least 2 vertices, got n={weights.n}")
     diag = (weights.values / math.sqrt(weights.sum_l)) ** 2
-    return 0.5 * (pair_sums(weights)[0] - float((diag / (1.0 + diag)).sum()))
+    mean = 0.5 * (pair_sums(weights)[0] - float((diag / (1.0 + diag)).sum()))
+    return min(max(mean, 0.0), float(weights.n * (weights.n - 1) // 2))
 
 
 def write_edge_list(sample: GraphSample, path) -> None:

@@ -159,14 +159,14 @@ def _edge_stats_one(args):
     """One replication's row: edge count (-1 with no graph), L_n and, for T2, E[E_n | W], a_n."""
     config, n, rep, with_graph, a_n = args
     wv = replication_weights(config.model, n, config.master_seed, rep)
+    # the mean before the sort: its sums run in draw order, so its bits are the draw's
+    stats = (wv.sum_l, conditional_edge_mean(wv), a_n) if config.theorem == "T2" else (wv.sum_l,)
     edge_count = -1
     if with_graph:
-        # the same graph relabelled, with no argsort or unsort of the degrees
+        # the replication's own draw, sorted in place: the same graph relabelled, no copy
         seed = derive_seed(config.master_seed, 2 * rep + 1)
-        edge_count = sample_graph_fast(descending_weights(wv), seed).edge_count
-    if config.theorem == "T2":
-        return [(edge_count, wv.sum_l, conditional_edge_mean(wv), a_n)]
-    return [(edge_count, wv.sum_l)]
+        edge_count = sample_graph_fast(descending_weights(wv, in_place=True), seed).edge_count
+    return [(edge_count, *stats)]
 
 
 def _map_ordered(fn, args_list, threads: int):

@@ -247,6 +247,7 @@ class LemmaRatios(NamedTuple):
     ratio_tail_alt: float
 
 
+@np.errstate(over="ignore")  # from_values refuses a draw that overflows
 def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
     """Draw n i.i.d. weights; identical (model, n, seed) give identical output.
 
@@ -262,8 +263,7 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
         values = np.full(n, model.resolved_value(n))
     elif isinstance(model, ExponentialWeights):
         values = rng.standard_exponential(n)
-        with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
-            values /= model.rate
+        values /= model.rate
     elif isinstance(model, LogNormalWeights):
         values = rng.lognormal(model.mu, model.sigma, n)
     elif isinstance(model, GammaWeights):
@@ -271,9 +271,8 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
     elif isinstance(model, ParetoWeights):
         values = rng.random(n)
         np.subtract(1.0, values, out=values)
-        with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
-            values **= -1.0 / model.alpha
-            values *= model.xm
+        values **= -1.0 / model.alpha
+        values *= model.xm
     elif isinstance(model, ParetoLogWeights):
         # log(W/xm) = (E1 + B E2)/alpha, B ~ Bernoulli(1/alpha) (see _log_gamma_mixture), and
         # one uniform V on (0, 1] gives B E2 = max(0, -log(alpha V)): V <= 1/alpha has
@@ -291,8 +290,7 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightVector:
         del e1
         values /= model.alpha
         np.exp(values, out=values)
-        with np.errstate(over="ignore"):  # from_values refuses a draw that overflows
-            values *= model.xm
+        values *= model.xm
     else:
         raise UnsupportedModelError(f"unknown weight model {model!r}")
     weights = WeightVector.from_values(values)
@@ -306,7 +304,8 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
 
     Constant weights are resolved at the vertex count, so ``n`` is
     required for that model and ignored otherwise.  A moment that the
-    law has finite but a double cannot hold raises OverflowError.
+    law has finite but a double cannot hold raises OverflowError.  A Var W
+    that EW^2 - EW * EW rounds below 0 is kept at 0.
     """
     if isinstance(model, ConstantWeights):
         if n is None:
@@ -319,7 +318,7 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
     if isinstance(model, LogNormalWeights):
         ew = _finite(model, "E[W]", lambda: math.exp(model.mu + 0.5 * model.sigma**2))
         ew2 = _finite(model, "E[W^2]", lambda: math.exp(2 * model.mu + 2 * model.sigma**2))
-        return Moments(ew, ew2 - ew * ew, ew2)
+        return Moments(ew, max(ew2 - ew * ew, 0.0), ew2)
     if isinstance(model, GammaWeights):
         ew = _finite(model, "E[W]", lambda: model.shape * model.scale)
         var = _finite(model, "Var W", lambda: model.shape * model.scale**2)
@@ -328,7 +327,7 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
         a, xm = model.alpha, model.xm
         ew = _finite(model, "E[W]", lambda: a * xm / (a - 1.0)) if a > 1 else math.inf
         ew2 = _finite(model, "E[W^2]", lambda: a * xm * xm / (a - 2.0)) if a > 2 else math.inf
-        var = ew2 - ew * ew if math.isfinite(ew2) else math.inf
+        var = max(ew2 - ew * ew, 0.0) if math.isfinite(ew2) else math.inf
         return Moments(ew, var, ew2)
     if isinstance(model, ParetoLogWeights):
         a, xm = model.alpha, model.xm
@@ -337,7 +336,7 @@ def analytic_moments(model: WeightModel, n: int | None = None) -> Moments:
         if a > 2:
             q = 1.0 / (a - 2.0)
             ew2 = _finite(model, "E[W^2]", lambda: xm * xm * (1.0 + 2.0 * q + 2.0 * q * q))
-            var = ew2 - ew * ew
+            var = max(ew2 - ew * ew, 0.0)
         else:
             ew2 = var = math.inf
         return Moments(ew, var, ew2)

@@ -18,6 +18,7 @@ the same limit law.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,23 +97,42 @@ def test_03_gaussian_limit():
     )
 
 
-def test_04_stable_limit_two_sample():
+@pytest.fixture(scope="module")
+def stable_run():
+    """Criterion 04's run, made once for the tests that read it, and its time in seconds."""
+    t0 = time.perf_counter()
+    cfg = ExperimentConfig(
+        ParetoWeights(1.5, 1.0), (200, 5000), 2000, master_seed=314159, theorem="T2"
+    )
+    res = run_experiment(cfg)
+    return res, time.perf_counter() - t0
+
+
+ACCEPTANCE_04_HEADER = (
+    "| n | raw KS D | raw KS p | median deficit | compensated KS D | compensated KS p |\n"
+    "|---|---|---|---|---|---|"
+)
+
+
+def acceptance_04_table(rows) -> str:
+    """The README's criterion-04 table, rendered from the run's ``summary.json`` rows."""
+    lines = [f"| {r['n']} | {r['ks_d']:.4f} | {r['ks_p']:.2g} | {r['deficit_median']:.3f} | "
+             f"{r['ks_d_compensated']:.4f} | {r['ks_p_compensated']:.2g} |" for r in rows]
+    return "\n".join([ACCEPTANCE_04_HEADER, *lines])
+
+
+def test_04_stable_limit_two_sample(stable_run):
     """Pareto(1.5) at n=5000: weight-sum vs compensated edge statistic.
 
     The two-sample KS p > 0.01 is asserted on the edge statistic plus
     its conditional-mean deficit.  The raw KS D and the median deficit
     must both decrease from n=200 to n=5000 (see module docstring).
     """
-    t0 = time.perf_counter()
-    cfg = ExperimentConfig(
-        ParetoWeights(1.5, 1.0), (200, 5000), 2000, master_seed=314159, theorem="T2"
-    )
-    res = run_experiment(cfg)
+    res, elapsed = stable_run
     small, large = (run.row for run in res.runs)
     d200, d5000 = small["ks_d"], large["ks_d"]
     p_raw, p_comp = large["ks_p"], large["ks_p_compensated"]
     def200, def5000 = small["deficit_median"], large["deficit_median"]
-    elapsed = time.perf_counter() - t0
     trend_ok = d5000 < d200
     deficit_ok = def5000 < def200
     ok = p_comp > 0.01 and trend_ok and deficit_ok and elapsed <= 600.0
@@ -130,6 +150,15 @@ def test_04_stable_limit_two_sample():
         f"(D={large['ks_d_compensated']:.4f}); the raw statistics have p={p_raw:.2e} "
         f"and a median deficit of {def5000:.3f} at n=5000"
     )
+
+
+def test_04_readme_table(stable_run):
+    """The README's criterion-04 table is the one rendered from the run's rows, digit for digit."""
+    res, _ = stable_run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index(ACCEPTANCE_04_HEADER)
+    shown = readme[start : readme.index("\n\n", start)]
+    assert shown == acceptance_04_table([run.row for run in res.runs])
 
 
 def test_05_lln():

@@ -145,6 +145,15 @@ class TestConditionalEdgeMean:
         wv = WeightVector.from_values(np.full(n, n * lam / (n - lam)))
         assert conditional_edge_mean(wv) == pytest.approx((n - 1) * lam / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("values", [
+        [1.9992771060427144e16, 1.9992771058285404e16],  # Gamma(2e16, 1) at n = 2, seed 1
+        [2.686e17, 2.80181e19, 4.6797e19],
+    ], ids=["n2", "n3"])
+    def test_never_above_the_pair_count(self, values):
+        """Where every p rounds to 1, the mean is n(n-1)/2, not an ulp above it."""
+        wv = WeightVector.from_values(values)
+        assert conditional_edge_mean(wv) == len(values) * (len(values) - 1) // 2
+
     def test_rejects_single_vertex(self):
         wv = WeightVector.from_values([1.0])
         for fn in (conditional_edge_mean, lambda w: sample_graph_fast(w, 0)):
@@ -388,44 +397,53 @@ class TestBucketThinning:
             assert g.candidates_examined <= 5 * (wv.n + g.edge_count)
 
 
+def sizes_and_in_place(*sizes):
+    """``(n, in_place)`` for each size and both values of the flag; ids "300", "300-in_place"."""
+    return [pytest.param(n, in_place, id=f"{n}-in_place" if in_place else str(n))
+            for in_place in (False, True) for n in sizes]
+
+
 class TestDescendingWeights:
     """Weights in descending order are thinned with no vertex permutation, to the same graph."""
 
     @staticmethod
-    def assert_relabelled(wv, seed):
-        """The descending copy gives the same graph as ``wv``, its vertices in that order."""
-        desc = descending_weights(wv)
+    def assert_relabelled(wv, seed, in_place):
+        """The descending weights give the same graph as ``wv``, its vertices in that order.
+
+        Returns both graphs and the vertex order, taken before an in-place sort.
+        """
+        g = sample_graph_fast(wv, seed)
+        order = np.argsort(-wv.values)
+        desc = descending_weights(wv, in_place=in_place)
         assert np.all(desc.values[1:] <= desc.values[:-1])
         assert (desc.sum_l, desc.sum_sq) == (wv.sum_l, wv.sum_sq)
-        g = sample_graph_fast(wv, seed)
         h = sample_graph_fast(desc, seed, store_edges=True)
         assert (h.edge_count, h.candidates_examined) == (g.edge_count, g.candidates_examined)
         assert np.array_equal(np.bincount(h.edges.ravel(), minlength=wv.n), h.degrees)
         assert np.all(h.edges[:, 0] < h.edges[:, 1])
-        return g, h
+        return g, h, order
 
-    @pytest.mark.parametrize("n", [300, 20_000])
+    @pytest.mark.parametrize("n, in_place", sizes_and_in_place(300, 20_000))
     @pytest.mark.parametrize(
         "model", [ParetoWeights(1.5, 1.0), ParetoLogWeights(1.5, 1.0), ExponentialWeights(1.0)],
         ids=lambda m: type(m).__name__,
     )
-    def test_same_graph_as_the_permutation_path(self, model, n):
+    def test_same_graph_as_the_permutation_path(self, model, n, in_place):
         wv = sample_weights(model, n, seed=n + 7)
-        g, h = self.assert_relabelled(wv, n + 8)
+        g, h, order = self.assert_relabelled(wv, n + 8, in_place)
         assert h.edge_count > 0
-        assert np.array_equal(h.degrees, g.degrees[np.argsort(-wv.values)])
+        assert np.array_equal(h.degrees, g.degrees[order])
 
-    @pytest.mark.parametrize("n", [300, 20_000])
-    def test_constant_weights(self, n):
+    @pytest.mark.parametrize("n, in_place", sizes_and_in_place(300, 20_000))
+    def test_constant_weights(self, n, in_place):
         """All ties: the weights are already descending, so both calls thin them as they are."""
         wv = sample_weights(ConstantWeights(3.0), n, seed=n)
-        g, h = self.assert_relabelled(wv, n + 1)
+        g, h, _ = self.assert_relabelled(wv, n + 1, in_place)
         assert h.edge_count > 0
         assert np.array_equal(h.degrees, g.degrees)
 
     def test_the_copy_is_a_new_array(self):
-        """The caller's weights keep their order; only `grg sample`, which owns its draw,
-        sorts in place."""
+        """By default the caller's weights keep their order."""
         wv = sample_weights(ParetoWeights(1.5, 1.0), 1000, seed=3)
         drawn = wv.values.copy()
         desc = descending_weights(wv)
@@ -433,10 +451,23 @@ class TestDescendingWeights:
         assert np.array_equal(wv.values, drawn)
         assert np.array_equal(desc.values, np.sort(drawn)[::-1])
 
+    def test_in_place_sorts_the_callers_values(self):
+        """A caller that owns its draw sorts it in place: its values end ascending, and the
+        result is a reversed view of them, with no copy."""
+        wv = sample_weights(ParetoWeights(1.5, 1.0), 1000, seed=3)
+        drawn = wv.values.copy()
+        desc = descending_weights(wv, in_place=True)
+        assert np.array_equal(wv.values, np.sort(drawn))
+        assert desc.values.base is wv.values and desc.values.strides == (-8,)
+        assert np.array_equal(desc.values, wv.values[::-1])
+
     def test_up_to_eleven_vertices_are_not_sorted(self):
-        """Up to n = 11 the sampler takes every pair in label order, so nothing is relabelled."""
+        """Up to n = 11 the sampler takes every pair in label order, so nothing is relabelled,
+        in place or not."""
         wv = WeightVector.from_values([1.0, 3.0, 2.0, 5.0])
-        assert descending_weights(wv) is wv
+        for in_place in (False, True):
+            assert descending_weights(wv, in_place=in_place) is wv
+        assert wv.values.tolist() == [1.0, 3.0, 2.0, 5.0]
 
     def test_grg_sample_summary(self, tmp_path):
         """`grg sample` relabels its vertices and writes the summary of the draw-order graph."""

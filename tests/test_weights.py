@@ -233,6 +233,17 @@ class TestAnalyticMoments:
                                    rtol=1e-7)
 
 
+    @pytest.mark.parametrize("model", [
+        LogNormalWeights(2.0, 5e-324),  # found by tests/test_contract.py
+        LogNormalWeights(2.0, 1e-8),
+        ParetoWeights(1e9, 1.0),
+        ParetoLogWeights(1e9, 1.0),
+    ], ids=repr)
+    def test_a_tiny_variance_is_not_negative(self, model):
+        """EW^2 - EW * EW rounds below 0 here; Var W is kept at 0."""
+        assert analytic_moments(model).var_w == 0.0
+
+
 class TestTruncatedMoments:
     def test_pareto_closed_form(self):
         m = ParetoWeights(1.5, 1.0)
